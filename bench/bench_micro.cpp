@@ -277,8 +277,36 @@ void BM_SipHash(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(len));
+  state.SetLabel(crypto::kernel_name(crypto::Kernel::Scalar));
 }
 BENCHMARK(BM_SipHash)->Arg(16)->Arg(256)->Arg(1486);
+
+// `count` equal-length messages per call (a packet's m shares), through
+// the dispatched multi-lane tier; compare with count x BM_SipHash.
+void BM_SipHashMany(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto count = static_cast<std::size_t>(state.range(1));
+  Rng rng(35);
+  std::vector<std::vector<std::uint8_t>> data(count,
+                                              std::vector<std::uint8_t>(len));
+  std::vector<const std::uint8_t*> msgs;
+  for (auto& d : data) {
+    for (auto& b : d) b = rng.byte();
+    msgs.push_back(d.data());
+  }
+  crypto::SipHashKey key{};
+  for (auto& b : key) b = rng.byte();
+  std::vector<std::uint64_t> out(count);
+  for (auto _ : state) {
+    crypto::siphash24_many(msgs, len, key, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len * count));
+  state.SetLabel(crypto::kernel_name(crypto::active_kernel()));
+}
+BENCHMARK(BM_SipHashMany)->Args({1486, 3})->Args({1486, 4});
 
 void BM_HmmForwardFilter(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));

@@ -4,8 +4,8 @@
 #
 #   scripts/run_bench_micro.sh [build-dir] [output-json]
 #
-# The script runs the kernel + Shamir benchmarks (the hot path the
-# region-arithmetic layer optimizes), reduces google-benchmark's JSON to
+# The script runs the kernel, Shamir and SipHash benchmarks (the hot
+# path of split, reconstruct and share authentication), reduces google-benchmark's JSON to
 # a compact {name: {ns, mb_per_s}} map, and merges it into the output
 # file under "current" while preserving the committed "baseline" block
 # (the seed scalar-path numbers). See EXPERIMENTS.md ("Microbenchmarks")
@@ -25,13 +25,13 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 "$bench_bin" \
-  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit' \
+  --benchmark_filter='BM_Gf|BM_RngFill|BM_Shamir(Split|Reconstruct)|BM_XorSplit|BM_SipHash' \
   --benchmark_format=json >"$raw"
 
-python3 - "$raw" "$out" <<'PY'
-import json, subprocess, sys
+python3 - "$raw" "$out" "$build_dir" <<'PY'
+import json, os, re, subprocess, sys
 
-raw_path, out_path = sys.argv[1], sys.argv[2]
+raw_path, out_path, build_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 raw = json.load(open(raw_path))
 
 current = {}
@@ -49,16 +49,29 @@ except (FileNotFoundError, json.JSONDecodeError):
     doc = {}
 
 try:
-    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                            capture_output=True, text=True, check=True).stdout.strip()
+    # "-dirty" marks numbers recorded from uncommitted changes.
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=7"],
+        capture_output=True, text=True, check=True).stdout.strip()
 except Exception:
     commit = "unknown"
+
+# An empty cached build type means the top-level CMakeLists.txt default.
+build_type = "unknown"
+try:
+    cache = open(os.path.join(build_dir, "CMakeCache.txt")).read()
+    m = re.search(r"^CMAKE_BUILD_TYPE:STRING=(.*)$", cache, re.M)
+    if m:
+        build_type = m.group(1) or "RelWithDebInfo (CMakeLists.txt default)"
+except OSError:
+    pass
 
 doc.setdefault("baseline", {})
 doc["current"] = {
     "commit": commit,
-    "context": {k: raw["context"].get(k) for k in
-                ("num_cpus", "mhz_per_cpu", "library_build_type")},
+    "context": {**{k: raw["context"].get(k) for k in
+                   ("num_cpus", "mhz_per_cpu", "library_build_type")},
+                "build_type": build_type},
     "benchmarks": current,
 }
 json.dump(doc, open(out_path, "w"), indent=2, sort_keys=True)

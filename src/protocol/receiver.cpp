@@ -83,13 +83,32 @@ void Receiver::attach(net::ChannelPort& channel) {
   });
 }
 
-void Receiver::on_frame(std::span<const std::uint8_t> raw) {
+void Receiver::on_frames(
+    std::span<const std::span<const std::uint8_t>> frames) {
+  const crypto::SipHashKey* key =
+      config_.auth_key ? &*config_.auth_key : nullptr;
+  // Tags are hashed one window ahead of the decodes that use them; the
+  // frames' bytes do not change in between.
+  std::optional<std::uint64_t> tags[kTagBatch];
+  for (std::size_t base = 0; base < frames.size(); base += kTagBatch) {
+    const auto window =
+        frames.subspan(base, std::min(kTagBatch, frames.size() - base));
+    if (key != nullptr) body_tags(window, *key, {tags, window.size()});
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      on_frame_tagged(window[i], tags[i]);
+    }
+  }
+}
+
+void Receiver::on_frame_tagged(std::span<const std::uint8_t> raw,
+                               std::optional<std::uint64_t> body_tag) {
   ++stats_.frames_received;
   DecodeStatus decode_status = DecodeStatus::Ok;
   // Zero-copy parse: the payload stays a span into `raw` and is copied
   // exactly once, straight into the partial's storage, on append.
-  const auto frame = decode_view(
-      raw, config_.auth_key ? &*config_.auth_key : nullptr, &decode_status);
+  const auto frame =
+      decode_view(raw, config_.auth_key ? &*config_.auth_key : nullptr,
+                  &decode_status, body_tag);
   if (!frame) {
     if (decode_status == DecodeStatus::AuthFailed) {
       ++stats_.auth_failures;

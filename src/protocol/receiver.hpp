@@ -109,7 +109,17 @@ class Receiver {
   /// RX path hands spans into pool-backed receive slots, and only the
   /// share payload the receiver actually retains is copied (into the
   /// reassembly partial, by decode). The span need not outlive the call.
-  void on_frame(std::span<const std::uint8_t> frame);
+  void on_frame(std::span<const std::uint8_t> frame) {
+    on_frame_tagged(frame, std::nullopt);
+  }
+
+  /// Feed one receive batch: the same result as on_frame() on each frame
+  /// in order, but a keyed receiver first hashes the batch's well-formed
+  /// authenticated bodies together (equal lengths share multi-lane
+  /// SipHash passes), then runs each frame's decode with its
+  /// precomputed tag. Every frame is still checked against its own tag,
+  /// and auth/malformed accounting is unchanged.
+  void on_frames(std::span<const std::span<const std::uint8_t>> frames);
 
   /// Owning-buffer convenience (the attach() path; public for tests).
   void on_frame(std::vector<std::uint8_t> frame) {
@@ -130,6 +140,12 @@ class Receiver {
   }
 
  private:
+  /// on_frame() with the frame body's SipHash under this receiver's key
+  /// precomputed by on_frames() (nullopt: decode hashes it). The frame's
+  /// own tag is still compared against it.
+  void on_frame_tagged(std::span<const std::uint8_t> frame,
+                       std::optional<std::uint64_t> body_tag);
+
   struct Partial {
     std::uint8_t k = 1;
     std::uint8_t generation = 0;  ///< re-split count of the stored shares

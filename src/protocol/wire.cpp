@@ -86,6 +86,31 @@ void seal_frame(std::span<std::uint8_t> dst, const crypto::SipHashKey& key) {
   std::memcpy(dst.data() + at, tag.data(), tag.size());
 }
 
+void seal_frames(std::span<const std::span<std::uint8_t>> frames,
+                 const crypto::SipHashKey& key) {
+  const std::uint8_t* msgs[kTagBatch];
+  std::uint64_t tags[kTagBatch];
+  std::size_t i = 0;
+  while (i < frames.size()) {
+    const std::size_t size = frames[i].size();
+    MCSS_ENSURE(size >= kHeaderSize + kTagSize,
+                "seal_frames needs full keyed frames");
+    std::size_t n = 0;
+    while (i + n < frames.size() && n < kTagBatch &&
+           frames[i + n].size() == size) {
+      msgs[n] = frames[i + n].data();
+      ++n;
+    }
+    crypto::siphash24_many({msgs, n}, size - kTagSize, key, {tags, n});
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto tag = crypto::tag_bytes(tags[j]);
+      std::memcpy(frames[i + j].data() + size - kTagSize, tag.data(),
+                  tag.size());
+    }
+    i += n;
+  }
+}
+
 std::size_t encode_into(const ShareFrame& frame, std::span<std::uint8_t> dst,
                         const crypto::SipHashKey* key) {
   const FrameMeta meta{frame.packet_id, frame.k, frame.share_index,
@@ -141,10 +166,10 @@ std::optional<std::size_t> frame_extent(
   return expected;
 }
 
-std::optional<FrameView> decode_prefix_view(std::span<const std::uint8_t> buf,
-                                            std::size_t* consumed,
-                                            const crypto::SipHashKey* key,
-                                            DecodeStatus* status) {
+std::optional<FrameView> decode_prefix_view(
+    std::span<const std::uint8_t> buf, std::size_t* consumed,
+    const crypto::SipHashKey* key, DecodeStatus* status,
+    std::optional<std::uint64_t> body_tag) {
   MCSS_ENSURE(consumed != nullptr, "decode_prefix needs a consumed out-param");
   *consumed = 0;
   if (status != nullptr) *status = DecodeStatus::Ok;
@@ -179,7 +204,9 @@ std::optional<FrameView> decode_prefix_view(std::span<const std::uint8_t> buf,
   if (key != nullptr) {
     // A keyed receiver refuses unauthenticated frames outright.
     if (!authenticated) return fail<FrameView>(status, DecodeStatus::AuthFailed);
-    const auto computed = crypto::siphash24_tag(buf.first(body), *key);
+    const auto computed =
+        body_tag ? crypto::tag_bytes(*body_tag)
+                 : crypto::siphash24_tag(buf.first(body), *key);
     if (!crypto::tag_equal(computed, buf.subspan(body, kTagSize))) {
       return fail<FrameView>(status, DecodeStatus::AuthFailed);
     }
@@ -196,14 +223,51 @@ std::optional<FrameView> decode_prefix_view(std::span<const std::uint8_t> buf,
 
 std::optional<FrameView> decode_view(std::span<const std::uint8_t> buf,
                                      const crypto::SipHashKey* key,
-                                     DecodeStatus* status) {
+                                     DecodeStatus* status,
+                                     std::optional<std::uint64_t> body_tag) {
   std::size_t consumed = 0;
-  auto view = decode_prefix_view(buf, &consumed, key, status);
+  auto view = decode_prefix_view(buf, &consumed, key, status, body_tag);
   if (view && consumed != buf.size()) {
     // Strict mode: trailing bytes after the one frame are a malformation.
     return fail<FrameView>(status, DecodeStatus::Malformed);
   }
   return view;
+}
+
+void body_tags(std::span<const std::span<const std::uint8_t>> frames,
+               const crypto::SipHashKey& key,
+               std::span<std::optional<std::uint64_t>> tags) {
+  MCSS_ENSURE(frames.size() <= kTagBatch, "body_tags takes one window");
+  MCSS_ENSURE(tags.size() >= frames.size(), "body_tags needs one slot per frame");
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const std::uint8_t* msgs[kTagBatch];
+  std::size_t owner[kTagBatch];
+  std::uint64_t hashes[kTagBatch];
+  std::size_t body[kTagBatch];
+  // Find each frame's tagged body length (kNone when there is nothing to
+  // verify), then hash every group of equal length together.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    tags[i].reset();
+    body[i] = kNone;
+    const auto extent = frame_extent(frames[i]);
+    if (extent && (frames[i][13] & kFlagAuthenticated) != 0) {
+      body[i] = *extent - kTagSize;
+    }
+  }
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::size_t len = body[i];
+    if (len == kNone) continue;
+    std::size_t lanes = 0;
+    for (std::size_t j = i; j < frames.size(); ++j) {
+      if (body[j] != len) continue;
+      body[j] = kNone;
+      msgs[lanes] = frames[j].data();
+      owner[lanes] = j;
+      ++lanes;
+    }
+    crypto::siphash24_many({msgs, lanes}, len, key, {hashes, lanes});
+    for (std::size_t l = 0; l < lanes; ++l) tags[owner[l]] = hashes[l];
+  }
 }
 
 std::optional<ShareFrame> decode_prefix(std::span<const std::uint8_t> buf,

@@ -145,6 +145,12 @@ std::size_t encode_header_into(const FrameMeta& meta, std::size_t payload_len,
 /// bytes of `dst` (the complete frame) and write it there.
 void seal_frame(std::span<std::uint8_t> dst, const crypto::SipHashKey& key);
 
+/// seal_frame() on every frame of `frames`, byte-identical in result.
+/// Consecutive frames of equal length (a packet's m shares) are tagged
+/// together in crypto::siphash24_many passes.
+void seal_frames(std::span<const std::span<std::uint8_t>> frames,
+                 const crypto::SipHashKey& key);
+
 enum class DecodeStatus {
   Ok,
   Malformed,   ///< bad magic/version/lengths/reserved fields
@@ -183,15 +189,38 @@ enum class DecodeStatus {
 /// is) instead of an owned vector. This is the session/receiver hot
 /// path — one parse, no allocation, demux on connection_id, and the
 /// consumer copies only the bytes it retains.
+///
+/// `body_tag`, when set, is the SipHash of the bytes the head frame's tag
+/// covers under `key`, computed ahead of time (see body_tags()); it
+/// replaces the hash here, and the frame's tag is still compared against
+/// it. Passing anything else defeats authentication.
 [[nodiscard]] std::optional<FrameView> decode_prefix_view(
     std::span<const std::uint8_t> buf, std::size_t* consumed,
-    const crypto::SipHashKey* key = nullptr, DecodeStatus* status = nullptr);
+    const crypto::SipHashKey* key = nullptr, DecodeStatus* status = nullptr,
+    std::optional<std::uint64_t> body_tag = std::nullopt);
 
 /// Strict zero-copy decode: exactly one frame in `buf` (trailing bytes
-/// are a malformation), payload viewed in place.
+/// are a malformation), payload viewed in place. `body_tag` as for
+/// decode_prefix_view.
 [[nodiscard]] std::optional<FrameView> decode_view(
     std::span<const std::uint8_t> buf, const crypto::SipHashKey* key = nullptr,
-    DecodeStatus* status = nullptr);
+    DecodeStatus* status = nullptr,
+    std::optional<std::uint64_t> body_tag = std::nullopt);
+
+/// Frames per multi-lane tagging pass: the most seal_frames() hashes
+/// together, and the most body_tags() takes in one call.
+inline constexpr std::size_t kTagBatch = 32;
+
+/// Batch-verify support for a receive window of at most kTagBatch
+/// frames. For each i whose head frame frame_extent() accepts and whose
+/// authenticated flag is set, tags[i] is the SipHash under `key` of the
+/// bytes that frame's tag covers — exactly what decode_prefix_view would
+/// compute for frames[i] — and every other entry is nullopt. Frames
+/// with equal-length bodies are hashed together in
+/// crypto::siphash24_many passes. `tags` must hold frames.size() entries.
+void body_tags(std::span<const std::span<const std::uint8_t>> frames,
+               const crypto::SipHashKey& key,
+               std::span<std::optional<std::uint64_t>> tags);
 
 /// Framing-only prefix scan: validates the fixed header (magic, version,
 /// k, index, flags, lengths) at the head of `buf` and returns the total

@@ -405,12 +405,14 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
   if (fast) {
     tx_slots_.clear();
     tx_spans_.clear();
+    tx_frames_.clear();
     for (int j = 0; j < m; ++j) {
       transport::FrameRef slot = pool_->acquire();
       if (!slot) {
         fast = false;
         tx_slots_.clear();
         tx_spans_.clear();
+        tx_frames_.clear();
         break;
       }
       slot.resize(need);
@@ -422,14 +424,15 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
       const std::size_t off =
           proto::encode_header_into(meta, payload.size(), slot.span(), keyed);
       tx_spans_.push_back(slot.span().subspan(off, payload.size()));
+      tx_frames_.push_back(slot.span());
       tx_slots_.push_back(std::move(slot));
     }
   }
   if (fast) {
     sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
+    if (keyed) proto::seal_frames(tx_frames_, *config_.auth_key);
     for (int j = 0; j < m; ++j) {
       const auto idx = static_cast<std::size_t>(j);
-      if (keyed) proto::seal_frame(tx_slots_[idx].span(), *config_.auth_key);
       const auto ch = static_cast<std::size_t>(decision.channels[idx]);
       ++flow.sender_stats.shares_sent;
       if (!channels_[ch]->try_send(std::move(tx_slots_[idx]), now)) {
@@ -438,6 +441,7 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
     }
     tx_slots_.clear();
     tx_spans_.clear();
+    tx_frames_.clear();
     return;
   }
 

@@ -389,6 +389,7 @@ class SessionEndpoint {
   std::vector<proto::ChannelView> view_scratch_;
   std::vector<transport::FrameRef> tx_slots_;
   std::vector<std::span<std::uint8_t>> tx_spans_;
+  std::vector<std::span<std::uint8_t>> tx_frames_;  ///< seal_frames views
   std::vector<std::uint8_t> split_scratch_;
   std::vector<std::uint8_t> report_datagram_;
 

@@ -114,20 +114,25 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
     auto ch = std::make_unique<UdpChannel>(
         spec.config, rng_.fork(), wheel_, *pool_, port, spec.name,
         config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
-    ch->set_on_frame([this, i](std::span<const std::uint8_t> frame) {
-      // Keep the receiver's clock caught up before it stamps first_seen.
-      sync_timeline(now_ns());
-      if (builder_) {
-        // Classify for the per-channel report counters the way the
-        // receiver will: a parseable head is a share frame, anything
-        // else is an undecodable blob the channel mangled.
-        builder_->on_channel_frame(i,
-                                   proto::frame_extent(frame).has_value());
-      }
-      // Span straight from the receive slot: the receiver copies only
-      // the share payload it retains.
-      receiver_.on_frame(frame);
-    });
+    ch->set_on_batch(
+        [this, i](std::span<const std::span<const std::uint8_t>> frames) {
+          // Keep the receiver's clock caught up before it stamps
+          // first_seen.
+          sync_timeline(now_ns());
+          if (builder_) {
+            // Classify for the per-channel report counters the way the
+            // receiver will: a parseable head is a share frame, anything
+            // else is an undecodable blob the channel mangled.
+            for (const auto frame : frames) {
+              builder_->on_channel_frame(
+                  i, proto::frame_extent(frame).has_value());
+            }
+          }
+          // Spans straight from the receive slots: the receiver verifies
+          // the batch's tags together and copies only the share payloads
+          // it retains.
+          receiver_.on_frames(frames);
+        });
     poller_.add(ch->rx_fd(), /*want_read=*/true, /*want_write=*/false);
     poller_.add(ch->tx_fd(), /*want_read=*/false, /*want_write=*/false);
     fd_to_channel_[ch->rx_fd()] = i;
@@ -339,12 +344,14 @@ void LiveEndpoint::dispatch(std::vector<std::uint8_t> payload,
   if (fast) {
     tx_slots_.clear();
     tx_spans_.clear();
+    tx_frames_.clear();
     for (int j = 0; j < m; ++j) {
       FrameRef slot = pool_->acquire();
       if (!slot) {
         fast = false;
         tx_slots_.clear();  // hand the acquired slots back
         tx_spans_.clear();
+        tx_frames_.clear();
         break;
       }
       slot.resize(need);
@@ -355,14 +362,16 @@ void LiveEndpoint::dispatch(std::vector<std::uint8_t> payload,
       const std::size_t off =
           proto::encode_header_into(meta, payload.size(), slot.span(), keyed);
       tx_spans_.push_back(slot.span().subspan(off, payload.size()));
+      tx_frames_.push_back(slot.span());
       tx_slots_.push_back(std::move(slot));
     }
   }
   if (fast) {
     sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
+    // All m frames have the same length: one multi-lane tag pass.
+    if (keyed) proto::seal_frames(tx_frames_, *config_.auth_key);
     for (int j = 0; j < m; ++j) {
       const auto idx = static_cast<std::size_t>(j);
-      if (keyed) proto::seal_frame(tx_slots_[idx].span(), *config_.auth_key);
       const auto ch_index =
           static_cast<std::size_t>(decision.channels[idx]);
       ++sender_stats_.shares_sent;
@@ -383,6 +392,7 @@ void LiveEndpoint::dispatch(std::vector<std::uint8_t> payload,
     }
     tx_slots_.clear();
     tx_spans_.clear();
+    tx_frames_.clear();
     return;
   }
 

@@ -262,11 +262,13 @@ class LiveEndpoint {
   std::vector<obs::runtime::ExposureRecord> closed_scratch_;
 
   /// Steady-state dispatch scratch, sized once: the per-pump scheduler
-  /// view, the per-packet slot handles and payload windows of the
-  /// split-into-slot fast path, and the splitter's coefficient slices.
+  /// view, the per-packet slot handles, payload windows and whole-frame
+  /// views (for seal_frames) of the split-into-slot fast path, and the
+  /// splitter's coefficient slices.
   std::vector<proto::ChannelView> view_scratch_;
   std::vector<FrameRef> tx_slots_;
   std::vector<std::span<std::uint8_t>> tx_spans_;
+  std::vector<std::span<std::uint8_t>> tx_frames_;
   std::vector<std::uint8_t> split_scratch_;
 };
 

@@ -92,6 +92,7 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
   tx_msgs_.resize(send_batch_);
   tx_takes_.resize(send_batch_);
   tx_iovs_.resize(ring_.size());
+  rx_frames_.reserve(std::max<std::size_t>(64, 2 * recv_batch_));
   if (recv_batch_ > 1) {
     rx_slots_.reserve(recv_batch_);
     rx_msgs_.resize(recv_batch_);
@@ -111,6 +112,17 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
 }
 
 UdpChannel::~UdpChannel() = default;
+
+void UdpChannel::set_on_frame(FrameFn fn) {
+  if (!fn) {
+    on_batch_ = nullptr;
+    return;
+  }
+  on_batch_ = [fn = std::move(fn)](
+                  std::span<const std::span<const std::uint8_t>> frames) {
+    for (const auto frame : frames) fn(frame);
+  };
+}
 
 bool UdpChannel::try_send(FrameRef frame, std::int64_t now_ns) {
   last_now_ns_ = now_ns;
@@ -386,8 +398,10 @@ void UdpChannel::on_readable_batched() {
       if (n == 0) continue;  // zero-length datagram carries nothing
       ++stats_.datagrams_received;
       stats_.bytes_received += n;
-      split_and_forward({rx_slots_[i].data(), n});
+      split_into_batch({rx_slots_[i].data(), n});
     }
+    // The next recvmmsg reuses the slots these spans point into.
+    emit_batch();
     if (batch.completed < recv_batch_) return;  // queue drained mid-batch
   }
 }
@@ -411,31 +425,39 @@ void UdpChannel::on_readable_legacy() {
     if (n == 0) continue;
     ++stats_.datagrams_received;
     stats_.bytes_received += n;
-    split_and_forward({buf.data(), n});
+    split_into_batch({buf.data(), n});
+    emit_batch();  // the next recv() reuses buf
   }
 }
 
-void UdpChannel::split_and_forward(std::span<const std::uint8_t> datagram) {
+void UdpChannel::split_into_batch(std::span<const std::uint8_t> datagram) {
   // Split the datagram back into frames in place. Framing only (no key):
   // the keyed proto::Receiver upstream re-decodes each frame and owns
   // the malformed/auth-failure accounting, so a tampered frame is
   // counted exactly once, by the component the tests assert on.
   std::span<const std::uint8_t> rest = datagram;
   while (!rest.empty()) {
+    if (rx_frames_.size() == rx_frames_.capacity()) emit_batch();
     const auto extent = proto::frame_extent(rest);
     if (extent.has_value()) {
       ++stats_.frames_forwarded;
-      if (on_frame_) on_frame_(rest.first(*extent));
+      rx_frames_.push_back(rest.first(*extent));
       rest = rest.subspan(*extent);
     } else {
       // Undecodable head: forward the remainder whole so the receiver
       // sees (and counts) the malformation, then move to the next
       // datagram — frame boundaries inside garbage are unknowable.
       ++stats_.unparsed_forwarded;
-      if (on_frame_) on_frame_(rest);
+      rx_frames_.push_back(rest);
       break;
     }
   }
+}
+
+void UdpChannel::emit_batch() {
+  if (rx_frames_.empty()) return;
+  if (on_batch_) on_batch_(rx_frames_);
+  rx_frames_.clear();
 }
 
 }  // namespace mcss::transport

@@ -19,9 +19,10 @@
 //     -> one recvmmsg(2) fills up to recv_batch persistent pool slots;
 //        repeat until the socket drains
 //     -> wire::frame_extent() splits each datagram back into frames IN
-//        PLACE (framing only, no copy), forwarding spans upward so a
-//        keyed proto::Receiver keeps sole authority over auth/malformed
-//        accounting and copies only the payloads it retains
+//        PLACE (framing only, no copy), and the whole batch's frame
+//        spans go upward in ONE callback, so a keyed proto::Receiver can
+//        verify them together, keeps sole authority over auth/malformed
+//        accounting, and copies only the payloads it retains
 //
 // After pool warmup the whole path — release, coalesce, sendmmsg,
 // recvmmsg, split, forward — performs zero heap allocations; the
@@ -29,7 +30,8 @@
 //
 // send_batch == 1 selects the LEGACY path deliberately: one send()/
 // recv() per datagram with assembly and per-frame materialization,
-// byte-compatible with the pre-batching transport. bench/live_eval uses
+// byte-compatible with the pre-batching transport (recv_batch == 1 hands
+// each datagram's frames up as one batch). bench/live_eval uses
 // it as the honest before/after baseline, and it is the fallback story
 // if batching ever misbehaves (MCSS_LIVE_BATCH=1).
 #pragma once
@@ -79,6 +81,13 @@ class UdpChannel {
   /// stores, nothing else).
   using FrameFn = std::function<void(std::span<const std::uint8_t>)>;
 
+  /// Receives one batch of such spans, in arrival order: every frame
+  /// split out of one recvmmsg call (or, with recv_batch == 1, out of
+  /// one datagram). Same lifetime rule as FrameFn. A batch holds at most
+  /// max(64, 2 * recv_batch) spans; a larger one arrives as several.
+  using BatchFn =
+      std::function<void(std::span<const std::span<const std::uint8_t>>)>;
+
   /// Binds the RX socket to 127.0.0.1:`rx_port` (0 = ephemeral) and
   /// connects an ephemeral TX socket to it. `rng` seeds the impairment's
   /// private loss/jitter stream; the wheel and pool are shared across
@@ -95,7 +104,11 @@ class UdpChannel {
   UdpChannel& operator=(const UdpChannel&) = delete;
   ~UdpChannel();
 
-  void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
+  /// The receive path's one upward callback.
+  void set_on_batch(BatchFn fn) { on_batch_ = std::move(fn); }
+
+  /// Per-frame adapter over set_on_batch: `fn` runs once per span.
+  void set_on_frame(FrameFn fn);
 
   /// Offer a pool-backed frame at monotonic time `now_ns`. False = tail
   /// drop at the impairment queue (mirrors SimChannel::try_send).
@@ -181,7 +194,10 @@ class UdpChannel {
   void flush_legacy(std::int64_t now_ns);
   void on_readable_batched();
   void on_readable_legacy();
-  void split_and_forward(std::span<const std::uint8_t> datagram);
+  /// Split a datagram into frame spans appended to rx_frames_.
+  void split_into_batch(std::span<const std::uint8_t> datagram);
+  /// Hand rx_frames_ to on_batch_ and clear it.
+  void emit_batch();
   void arm_retry();
   void retire_front_frames(std::size_t frames, std::int64_t now_ns, bool sent);
   [[nodiscard]] Pending& ring_at(std::size_t i) noexcept {
@@ -197,7 +213,7 @@ class UdpChannel {
   TimerWheel& wheel_;
   FramePool& pool_;
   Impairment impair_;
-  FrameFn on_frame_;
+  BatchFn on_batch_;
 
   /// Frames released by the impairment, not yet accepted by the kernel.
   /// Fixed-capacity ring (bounded by pool capacity plus duplicates), so
@@ -215,6 +231,8 @@ class UdpChannel {
   std::vector<mmsghdr> rx_msgs_;
   std::vector<iovec> rx_iovs_;
   std::vector<FrameRef> rx_slots_;      ///< pool slots pinned for RX reuse
+  /// Frame spans of the receive batch being split; fixed capacity.
+  std::vector<std::span<const std::uint8_t>> rx_frames_;
   std::vector<std::int64_t> last_flush_release_ns_;
 
   /// EAGAIN recovery: EPOLLOUT is the primary wake-up, but a wheel-timer

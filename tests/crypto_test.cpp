@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "crypto/siphash.hpp"
@@ -13,6 +14,7 @@
 #include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
 #include "protocol/wire.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
 
 namespace mcss {
@@ -26,19 +28,153 @@ crypto::SipHashKey test_key() {
 
 // ---------------------------------------------------------------- SipHash
 
-TEST(SipHash, ReferenceVectors) {
-  // First eight vectors_sip64 entries from the reference implementation:
-  // key = 00 01 .. 0f, input = first n bytes of 00 01 02 ...
-  const std::uint64_t expected[] = {
+// The 64 vectors_sip64 entries of the reference implementation: key =
+// 00 01 .. 0f, input i = the first i bytes of 00 01 02 ...
+constexpr std::uint64_t kReferenceVectors[64] = {
       0x726fdb47dd0e0e31ULL, 0x74f839c593dc67fdULL, 0x0d6c8009d9a94f5aULL,
       0x85676696d7fb7e2dULL, 0xcf2794e0277187b7ULL, 0x18765564cd99a68dULL,
-      0xcbc9466e58fee3ceULL, 0xab0200f58b01d137ULL,
-  };
+      0xcbc9466e58fee3ceULL, 0xab0200f58b01d137ULL, 0x93f5f5799a932462ULL,
+      0x9e0082df0ba9e4b0ULL, 0x7a5dbbc594ddb9f3ULL, 0xf4b32f46226bada7ULL,
+      0x751e8fbc860ee5fbULL, 0x14ea5627c0843d90ULL, 0xf723ca908e7af2eeULL,
+      0xa129ca6149be45e5ULL, 0x3f2acc7f57c29bdbULL, 0x699ae9f52cbe4794ULL,
+      0x4bc1b3f0968dd39cULL, 0xbb6dc91da77961bdULL, 0xbed65cf21aa2ee98ULL,
+      0xd0f2cbb02e3b67c7ULL, 0x93536795e3a33e88ULL, 0xa80c038ccd5ccec8ULL,
+      0xb8ad50c6f649af94ULL, 0xbce192de8a85b8eaULL, 0x17d835b85bbb15f3ULL,
+      0x2f2e6163076bcfadULL, 0xde4daaaca71dc9a5ULL, 0xa6a2506687956571ULL,
+      0xad87a3535c49ef28ULL, 0x32d892fad841c342ULL, 0x7127512f72f27cceULL,
+      0xa7f32346f95978e3ULL, 0x12e0b01abb051238ULL, 0x15e034d40fa197aeULL,
+      0x314dffbe0815a3b4ULL, 0x027990f029623981ULL, 0xcadcd4e59ef40c4dULL,
+      0x9abfd8766a33735cULL, 0x0e3ea96b5304a7d0ULL, 0xad0c42d6fc585992ULL,
+      0x187306c89bc215a9ULL, 0xd4a60abcf3792b95ULL, 0xf935451de4f21df2ULL,
+      0xa9538f0419755787ULL, 0xdb9acddff56ca510ULL, 0xd06c98cd5c0975ebULL,
+      0xe612a3cb9ecba951ULL, 0xc766e62cfcadaf96ULL, 0xee64435a9752fe72ULL,
+      0xa192d576b245165aULL, 0x0a8787bf8ecb74b2ULL, 0x81b3e73d20b49b6fULL,
+      0x7fa8220ba3b2eceaULL, 0x245731c13ca42499ULL, 0xb78dbfaf3a8d83bdULL,
+      0xea1ad565322a1a0bULL, 0x60e61c23a3795013ULL, 0x6606d7e446282b93ULL,
+      0x6ca4ecb15c5f91e1ULL, 0x9f626da15c9625f3ULL, 0xe51b38608ef25f57ULL,
+      0x958a324ceb064572ULL,
+};
+
+TEST(SipHash, ReferenceVectors) {
   const auto key = test_key();
   std::vector<std::uint8_t> input;
-  for (std::size_t n = 0; n < 8; ++n) {
-    EXPECT_EQ(crypto::siphash24(input, key), expected[n]) << "length " << n;
+  for (std::size_t n = 0; n < 64; ++n) {
+    EXPECT_EQ(crypto::siphash24(input, key), kReferenceVectors[n])
+        << "length " << n;
     input.push_back(static_cast<std::uint8_t>(n));
+  }
+}
+
+// ------------------------------------------------ multi-lane SipHash tiers
+
+class SipHashKernel : public ::testing::TestWithParam<crypto::Kernel> {
+ protected:
+  void SetUp() override {
+    if (!crypto::kernel_supported(GetParam())) {
+      GTEST_SKIP() << crypto::kernel_name(GetParam())
+                   << " is not supported on this host";
+    }
+  }
+};
+
+TEST_P(SipHashKernel, MatchesScalarOnEveryLengthCountAndAlignment) {
+  // Every length 0..2100 (each block count and tail size, past the
+  // 1486-byte live frame), 1..9 messages per call (full groups of four,
+  // padded groups of two and three, the scalar single), and start
+  // pointers at every offset mod 8 — each lane its own bytes.
+  const auto kernel = GetParam();
+  Rng rng(77);
+  auto key = test_key();
+  rng.fill(key);
+  constexpr std::size_t kMaxLen = 2100;
+  constexpr std::size_t kMaxMsgs = 9;
+  std::vector<std::uint8_t> pool(kMaxMsgs * (kMaxLen + 8));
+  rng.fill(pool);
+  const auto check = [&](std::size_t len, std::size_t count,
+                         std::size_t misalign) {
+    const std::uint8_t* msgs[kMaxMsgs];
+    for (std::size_t i = 0; i < count; ++i) {
+      msgs[i] = pool.data() + i * (kMaxLen + 8) + (misalign + i) % 8;
+    }
+    std::uint64_t out[kMaxMsgs];
+    crypto::siphash24_many(kernel, {msgs, count}, len, key, {out, count});
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(out[i], crypto::siphash24({msgs[i], len}, key))
+          << crypto::kernel_name(kernel) << " len " << len << " count "
+          << count << " lane " << i << " misalign " << misalign;
+    }
+  };
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    check(len, 1 + len % kMaxMsgs, len % 8);
+  }
+  for (std::size_t count = 1; count <= kMaxMsgs; ++count) {
+    constexpr std::size_t kLens[] = {0,  1,  7,  8,    9,    15,  16,
+                                     63, 64, 65, 1486, 1487, 2100};
+    for (const std::size_t len : kLens) {
+      for (std::size_t misalign = 0; misalign < 8; ++misalign) {
+        check(len, count, misalign);
+      }
+    }
+  }
+}
+
+TEST_P(SipHashKernel, ReferenceVectorsThroughManyLanes) {
+  // Each reference input hashed as every lane of a call, alongside the
+  // other lanes, at counts that exercise full and padded groups.
+  const auto kernel = GetParam();
+  const auto key = test_key();
+  std::vector<std::uint8_t> input(64);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<std::uint8_t>(i);
+  }
+  for (std::size_t len = 0; len < 64; ++len) {
+    for (std::size_t count = 1; count <= 5; ++count) {
+      std::vector<std::vector<std::uint8_t>> copies(count, input);
+      std::vector<const std::uint8_t*> msgs;
+      for (const auto& c : copies) msgs.push_back(c.data());
+      std::vector<std::uint64_t> out(count);
+      crypto::siphash24_many(kernel, msgs, len, key, out);
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(out[i], kReferenceVectors[len])
+            << crypto::kernel_name(kernel) << " len " << len << " count "
+            << count << " lane " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, SipHashKernel,
+    ::testing::Values(crypto::Kernel::Scalar, crypto::Kernel::Avx2),
+    [](const ::testing::TestParamInfo<crypto::Kernel>& tier) {
+      return std::string(crypto::kernel_name(tier.param));
+    });
+
+TEST(SipHash, DispatchReportsSupportedKernel) {
+  EXPECT_TRUE(crypto::kernel_supported(crypto::Kernel::Scalar));
+  EXPECT_TRUE(crypto::kernel_supported(crypto::active_kernel()));
+  // The auto entry point agrees with the scalar reference.
+  const auto key = test_key();
+  const std::vector<std::uint8_t> a(100, 1);
+  const std::vector<std::uint8_t> b(100, 2);
+  const std::uint8_t* msgs[] = {a.data(), b.data()};
+  std::uint64_t out[2];
+  crypto::siphash24_many(msgs, 100, key, out);
+  EXPECT_EQ(out[0], crypto::siphash24(a, key));
+  EXPECT_EQ(out[1], crypto::siphash24(b, key));
+}
+
+TEST(SipHash, ManyRejectsShortOutputAndUnsupportedKernels) {
+  const auto key = test_key();
+  const std::vector<std::uint8_t> a(8, 1);
+  const std::uint8_t* msgs[] = {a.data(), a.data()};
+  std::uint64_t out[1];
+  EXPECT_THROW(crypto::siphash24_many(msgs, 8, key, out), PreconditionError);
+  if (!crypto::kernel_supported(crypto::Kernel::Avx2)) {
+    std::uint64_t two[2];
+    EXPECT_THROW(
+        crypto::siphash24_many(crypto::Kernel::Avx2, msgs, 8, key, two),
+        PreconditionError);
   }
 }
 
@@ -167,6 +303,85 @@ TEST(WireAuth, UnkeyedDecodeParsesTaggedFrame) {
   const auto back = proto::decode(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->payload, f.payload);
+}
+
+TEST(WireAuth, BatchVerifyMatchesPerFrameAccounting) {
+  // One receive batch through Receiver::on_frames must leave exactly the
+  // state that feeding its frames one by one through on_frame leaves:
+  // tampered and unauthenticated frames are auth failures, a malformed
+  // remainder is malformed, a share of a finished packet is late, and
+  // mixed body lengths (retransmission generations, several packet
+  // sizes) hash in groups without mixing. More than one hashing window.
+  const auto key = test_key();
+  Rng rng(91);
+  std::vector<std::vector<std::uint8_t>> frames;
+  const auto share = [&](std::uint64_t id, std::uint8_t index,
+                         std::size_t len, std::uint8_t generation) {
+    proto::ShareFrame f;
+    f.packet_id = id;
+    f.k = 2;
+    f.share_index = index;
+    f.generation = generation;
+    f.payload.resize(len);
+    rng.fill(f.payload);
+    return proto::encode(f, &key);
+  };
+  for (std::uint64_t id = 1; id <= 14; ++id) {
+    const std::size_t len = id % 3 == 0 ? 1470 : (id % 3 == 1 ? 128 : 37);
+    const auto generation = static_cast<std::uint8_t>(id % 4 == 0 ? 1 : 0);
+    frames.push_back(share(id, 1, len, generation));
+    frames.push_back(share(id, 2, len, generation));
+    frames.push_back(share(id, 3, len, generation));  // late: k = 2
+  }
+  frames[4][proto::kHeaderSize + 9] ^= 0x20;  // tampered payload
+  frames[10].back() ^= 0x01;                  // tampered tag
+  {
+    proto::ShareFrame plain;  // unauthenticated, to a keyed receiver
+    plain.packet_id = 40;
+    plain.k = 1;
+    plain.share_index = 1;
+    plain.payload = {1, 2, 3};
+    frames.insert(frames.begin() + 7, proto::encode(plain));
+  }
+  // A malformed remainder, as UdpChannel forwards an undecodable tail.
+  frames.push_back({0x4D, 0x52, 0x01, 0x02, 0xFF});
+  ASSERT_GT(frames.size(), 32u);
+
+  std::map<std::uint64_t, std::vector<std::uint8_t>> one_by_one;
+  std::map<std::uint64_t, std::vector<std::uint8_t>> batched;
+  net::Simulator sim;
+  proto::ReceiverConfig rc;
+  rc.auth_key = key;
+  proto::Receiver single(sim, rc);
+  single.set_deliver([&](std::uint64_t id, std::vector<std::uint8_t> p) {
+    one_by_one[id] = std::move(p);
+  });
+  proto::Receiver batch(sim, rc);
+  batch.set_deliver([&](std::uint64_t id, std::vector<std::uint8_t> p) {
+    batched[id] = std::move(p);
+  });
+
+  std::vector<std::span<const std::uint8_t>> views;
+  for (const auto& f : frames) {
+    single.on_frame(std::span<const std::uint8_t>(f));
+    views.emplace_back(f);
+  }
+  batch.on_frames(views);
+
+  const auto& a = single.stats();
+  const auto& b = batch.stats();
+  EXPECT_EQ(b.frames_received, a.frames_received);
+  EXPECT_EQ(b.auth_failures, a.auth_failures);
+  EXPECT_EQ(b.malformed_frames, a.malformed_frames);
+  EXPECT_EQ(b.late_shares, a.late_shares);
+  EXPECT_EQ(b.duplicate_shares, a.duplicate_shares);
+  EXPECT_EQ(b.packets_delivered, a.packets_delivered);
+  EXPECT_EQ(batched, one_by_one);
+  // The batch really held each kind of frame.
+  EXPECT_EQ(a.auth_failures, 3u);
+  EXPECT_EQ(a.malformed_frames, 1u);
+  EXPECT_GT(a.late_shares, 0u);
+  EXPECT_EQ(a.packets_delivered, 14u);
 }
 
 // ------------------------------------------------- end to end, Byzantine

@@ -1,6 +1,8 @@
 // Tests for the share wire format and the (kappa, mu) dither.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "protocol/dither.hpp"
@@ -143,6 +145,97 @@ TEST(Wire, HeaderThenSealMatchesEncode) {
     if (keyed) seal_frame(got, key);
     EXPECT_EQ(got, expected) << (keyed ? "keyed" : "unkeyed");
   }
+}
+
+TEST(Wire, SealFramesMatchesPerFrameSeal) {
+  // seal_frames tags a batch in multi-lane passes; every byte must equal
+  // per-frame seal_frame — including generation and connection-id
+  // frames, runs of equal length (a packet's fan-out), lengths that
+  // change mid-batch, and more frames than one hashing pass holds.
+  const crypto::SipHashKey key{3, 1, 4, 1, 5, 9, 2, 6,
+                               5, 3, 5, 8, 9, 7, 9, 3};
+  std::vector<ShareFrame> frames;
+  for (std::uint8_t i = 1; i <= 40; ++i) {
+    ShareFrame f;
+    f.packet_id = 1000u + i / 4;
+    f.k = 2;
+    f.share_index = i;
+    f.generation = static_cast<std::uint8_t>(i % 7 == 0 ? i : 0);
+    f.connection_id = i % 5 == 0 ? 0xC0FFEEu + i : 0;
+    const std::size_t len = i < 20 ? 1470 : (i < 34 ? 128 : i);
+    f.payload.assign(len, static_cast<std::uint8_t>(i * 13));
+    frames.push_back(f);
+  }
+  std::vector<std::vector<std::uint8_t>> expected;
+  std::vector<std::vector<std::uint8_t>> got;
+  for (const auto& f : frames) {
+    expected.push_back(encode(f, &key));
+    // Same bytes with the tag zeroed, for seal_frames to fill in.
+    got.push_back(encode(f));
+    got.back()[13] |= kFlagAuthenticated;
+    got.back().resize(got.back().size() + kTagSize, 0);
+  }
+  std::vector<std::span<std::uint8_t>> views;
+  for (auto& g : got) views.emplace_back(g);
+  seal_frames(views, key);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "frame " << i;
+  }
+  EXPECT_THROW(seal_frames(std::vector<std::span<std::uint8_t>>{
+                               std::span<std::uint8_t>(got[0]).first(8)},
+                           key),
+               PreconditionError);
+}
+
+TEST(Wire, BodyTagsMatchWhatDecodeComputes) {
+  // body_tags hashes exactly the bytes decode_view would authenticate,
+  // and leaves nullopt where there is nothing to verify: unauthenticated
+  // frames and undecodable heads.
+  const crypto::SipHashKey key{1, 2,  3,  4,  5,  6,  7,  8,
+                               9, 10, 11, 12, 13, 14, 15, 16};
+  ShareFrame f;
+  f.packet_id = 5;
+  f.k = 2;
+  f.share_index = 1;
+  f.payload.assign(300, 0x5A);
+  const auto keyed = encode(f, &key);
+  f.share_index = 2;
+  const auto keyed2 = encode(f, &key);
+  f.payload.resize(17);
+  const auto keyed_short = encode(f, &key);
+  const auto plain = encode(f);
+  const std::vector<std::uint8_t> junk{1, 2, 3};
+  auto trailing = keyed_short;
+  trailing.push_back(0xEE);  // tag still covers only the head frame
+
+  const std::vector<std::span<const std::uint8_t>> batch{
+      keyed, plain, keyed_short, junk, keyed2, trailing};
+  std::vector<std::optional<std::uint64_t>> tags(batch.size());
+  body_tags(batch, key, tags);
+  const auto body_hash = [&](const std::vector<std::uint8_t>& frame,
+                             std::size_t extent) {
+    return crypto::siphash24(
+        std::span<const std::uint8_t>(frame).first(extent - kTagSize), key);
+  };
+  EXPECT_EQ(tags[0], body_hash(keyed, keyed.size()));
+  EXPECT_FALSE(tags[1].has_value());
+  EXPECT_EQ(tags[2], body_hash(keyed_short, keyed_short.size()));
+  EXPECT_FALSE(tags[3].has_value());
+  EXPECT_EQ(tags[4], body_hash(keyed2, keyed2.size()));
+  EXPECT_EQ(tags[5], body_hash(trailing, keyed_short.size()));
+
+  // A precomputed tag feeds decode and the frame's own tag is still
+  // compared: the right hash passes, a wrong one fails authentication.
+  DecodeStatus status = DecodeStatus::Ok;
+  EXPECT_TRUE(decode_view(keyed, &key, &status, tags[0]).has_value());
+  EXPECT_FALSE(decode_view(keyed, &key, &status, *tags[0] ^ 1).has_value());
+  EXPECT_EQ(status, DecodeStatus::AuthFailed);
+
+  // One call covers one window of at most kTagBatch frames.
+  const std::vector<std::span<const std::uint8_t>> too_many(kTagBatch + 1,
+                                                            keyed);
+  std::vector<std::optional<std::uint64_t>> too_many_tags(too_many.size());
+  EXPECT_THROW(body_tags(too_many, key, too_many_tags), PreconditionError);
 }
 
 TEST(Wire, GenerationRoundtrip) {

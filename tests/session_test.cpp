@@ -99,6 +99,50 @@ TEST(Session, SingleFlowDeliversThroughSessionLayer) {
   EXPECT_EQ(rx->stats().auth_failures, 0u);
 }
 
+TEST(Session, KeyedFlowsQuarantineCorruptedShares) {
+  // Shares sealed per packet in one multi-lane pass: every flow's
+  // receiver must still reject the frames a Byzantine channel flipped a
+  // bit in, and deliver only intact payloads.
+  SessionConfig config = clean_config(4);
+  for (auto& spec : config.channels) spec.config.corrupt = 0.1;
+  config.auth_key = crypto::SipHashKey{{9, 8, 7, 6}};
+  SessionEndpoint ep(std::move(config));
+
+  std::map<std::uint32_t, std::map<std::uint64_t, std::vector<std::uint8_t>>>
+      delivered;
+  ep.set_deliver([&](std::uint32_t cid, std::uint64_t id,
+                     std::vector<std::uint8_t> payload) {
+    delivered[cid][id] = std::move(payload);
+  });
+  const auto a = ep.open_flow();
+  const auto b = ep.open_flow();
+  ASSERT_TRUE(a && b);
+  constexpr int kPackets = 12;  // within the per-flow send queue
+  for (int i = 0; i < kPackets; ++i) {
+    ASSERT_TRUE(ep.send(*a, pattern_payload(800, 0xA0)));
+    ASSERT_TRUE(ep.send(*b, pattern_payload(900, 0xB0)));
+  }
+  (void)run_until(ep, [] { return false; }, 300);
+
+  std::uint64_t auth_failures = 0;
+  std::uint64_t frames_received = 0;
+  for (const auto cid : {*a, *b}) {
+    const proto::Receiver* rx = ep.flow_receiver(cid);
+    ASSERT_NE(rx, nullptr);
+    auth_failures += rx->stats().auth_failures;
+    frames_received += rx->stats().frames_received;
+    EXPECT_GT(rx->stats().packets_delivered, 0u) << "flow " << cid;
+  }
+  EXPECT_GT(auth_failures, 0u);
+  EXPECT_EQ(frames_received, ep.stats().frames_demuxed);
+  for (const auto& [id, payload] : delivered[*a]) {
+    EXPECT_EQ(payload, pattern_payload(800, 0xA0)) << "flow A packet " << id;
+  }
+  for (const auto& [id, payload] : delivered[*b]) {
+    EXPECT_EQ(payload, pattern_payload(900, 0xB0)) << "flow B packet " << id;
+  }
+}
+
 TEST(Session, FlowsWithEqualPacketIdsNeverMix) {
   // Both flows number their packets 1..N; if demux ever leaked a share
   // across flows, the mixed reassembly would surface as conflicting
