@@ -212,7 +212,18 @@ LiveResult run_live(const workload::Setup& setup, double offered_pps,
   return r;
 }
 
+/// "active" when the channel sends GSO runs and reads GRO buffers, else
+/// the kernel's refusal of UDP segmentation offload, or "off".
+std::string offload_state(const transport::UdpChannel& ch) {
+  const transport::UdpChannel::Offload& o = ch.offload();
+  if (o.gso && o.gro) return "active";
+  if (o.refusal_errno == 0) return "off";
+  return std::string("refused: ") + std::strerror(o.refusal_errno) +
+         " (errno " + std::to_string(o.refusal_errno) + ")";
+}
+
 struct FastpathResult {
+  std::string udp_offload;  ///< offload_state() of the run's channels
   double mbps = 0.0;
   double syscalls_per_packet = 0.0;
   double cycles_per_byte = 0.0;
@@ -284,6 +295,7 @@ FastpathResult run_fastpath(std::size_t batch, int packets,
   const double elapsed_s = static_cast<double>(ep.now_ns() - start) / 1e9;
 
   FastpathResult r;
+  r.udp_offload = offload_state(ep.channel(0));
   r.packets_delivered = delivered_packets;
   r.complete = delivered_packets >= static_cast<std::uint64_t>(packets);
   r.mbps = elapsed_s <= 0.0 ? 0.0
@@ -434,9 +446,11 @@ int main(int argc, char** argv) {
   std::printf("  batch=1   %8.1f mbps  %6.2f sys/pkt  %5.0f cyc/B%s\n",
               slow.mbps, slow.syscalls_per_packet, slow.cycles_per_byte,
               slow.complete ? "" : "  [INCOMPLETE]");
-  std::printf("  batch=32  %8.1f mbps  %6.2f sys/pkt  %5.0f cyc/B%s\n",
+  std::printf("  batch=32  %8.1f mbps  %6.2f sys/pkt  %5.0f cyc/B%s"
+              "  (UDP GSO/GRO %s)\n",
               fast.mbps, fast.syscalls_per_packet, fast.cycles_per_byte,
-              fast.complete ? "" : "  [INCOMPLETE]");
+              fast.complete ? "" : "  [INCOMPLETE]",
+              fast.udp_offload.c_str());
   std::printf("  speedup   %.2fx (gate: >= 2x)\n", speedup);
 
   if (obs::metrics_enabled()) {
@@ -463,7 +477,8 @@ int main(int argc, char** argv) {
         .field("syscalls_per_packet", fast.syscalls_per_packet)
         .field("cycles_per_byte", fast.cycles_per_byte)
         .field("packets_delivered", fast.packets_delivered)
-        .field("complete", fast.complete);
+        .field("complete", fast.complete)
+        .field("udp_offload", fast.udp_offload);
     obs::JsonRow fp;
     fp.field("packets", static_cast<std::uint64_t>(kFastpathPackets))
         .field("packet_bytes", static_cast<std::uint64_t>(kFastpathBytes))
@@ -479,6 +494,7 @@ int main(int argc, char** argv) {
       .field("transport", "udp-loopback")
       .field("packet_bytes", static_cast<std::uint64_t>(kPacketBytes))
       .field("poller_backend", backend_name(transport::Poller::default_backend()))
+      .field("udp_offload", fast.udp_offload)
       .field_raw("setups", setups_json)
       .field_raw("fastpath", fastpath_json);
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {

@@ -47,10 +47,11 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
                 "the port range would wrap");
   }
 
-  // One arena for everything: TX encode slots, RX receive pins, frames
-  // parked at the impairment serializer, and per-flow reassembly
-  // partials. The auto-size adds partial slack beyond LiveEndpoint's
-  // because flows borrow slots for as long as a partial is open.
+  // One arena for everything: TX encode slots, frames parked at the
+  // impairment serializer, and per-flow reassembly partials (each
+  // channel receives into its own buffer, not the arena). The auto-size
+  // adds partial slack beyond LiveEndpoint's because flows borrow slots
+  // for as long as a partial is open.
   {
     const std::size_t slot_bytes =
         config_.pool_slot_bytes != 0
@@ -61,10 +62,11 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
     const std::size_t slots =
         config_.pool_slots != 0
             ? config_.pool_slots
-            : lanes * (config_.recv_batch + 4 * config_.send_batch) + 256;
+            : lanes * 4 * config_.send_batch + 256;
     pool_ = std::make_unique<transport::FramePool>(slot_bytes, slots);
   }
   poller_.register_buffers({pool_->arena_data(), pool_->arena_bytes()});
+  delay_ = transport::delay_tracker(config_.seed);
 
   budget_bytes_per_s_ = 0.0;
   for (const auto& spec : config_.channels) {
@@ -951,6 +953,7 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
   if (feedback_ch_) all_channels.push_back(feedback_ch_.get());
   for (const transport::UdpChannel* ch : all_channels) {
     net::publish(registry, ch->impair_stats());
+    transport::publish(registry, ch->stats());
   }
 
   const transport::FramePool::Stats& ps = pool_->stats();

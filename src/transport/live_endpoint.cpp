@@ -63,8 +63,9 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
   }
 
   // One arena for every channel: TX frames are encoded straight into
-  // slots, RX pins recv_batch slots per channel. Auto-sizing leaves
-  // ample slack for frames parked at the impairment serializer.
+  // slots (each channel receives into its own buffer, not the arena).
+  // Auto-sizing leaves ample slack for frames parked at the impairment
+  // serializer.
   {
     const std::size_t slot_bytes =
         config_.pool_slot_bytes != 0
@@ -75,16 +76,17 @@ LiveEndpoint::LiveEndpoint(LiveConfig config)
     const std::size_t slots =
         config_.pool_slots != 0
             ? config_.pool_slots
-            : lanes * (config_.recv_batch + 4 * config_.send_batch) + 64;
+            : lanes * 4 * config_.send_batch + 64;
     pool_ = std::make_unique<FramePool>(slot_bytes, slots);
   }
   // Reassembly partials share the arena too: small-k partials live in
   // slots, so steady-state RX appends never touch the heap.
   receiver_.set_arena(pool_.get());
   // On the uring backend, pre-register the arena with the ring
-  // (IORING_REGISTER_BUFFERS) so the pages RX slots live in are pinned
+  // (IORING_REGISTER_BUFFERS) so the pages frame slots live in are pinned
   // once instead of per syscall; epoll/poll ignore this.
   poller_.register_buffers({pool_->arena_data(), pool_->arena_bytes()});
+  delay_ = delay_tracker(config_.seed);
 
   scheduler_ = config_.scheduler
                    ? std::move(config_.scheduler)
@@ -629,6 +631,7 @@ void LiveEndpoint::publish_metrics(obs::Registry& registry) const {
   for (const UdpChannel* ch : all_channels) {
     net::publish(registry, ch->impair_stats());
     const UdpChannelStats& s = ch->stats();
+    publish(registry, s);
     sockets.datagrams_sent += s.datagrams_sent;
     sockets.datagrams_received += s.datagrams_received;
     sockets.bytes_sent += s.bytes_sent;

@@ -84,6 +84,12 @@ std::size_t TimerWheel::advance(std::int64_t now_ns) {
         }
       }
       slot.erase(keep, slot.end());
+      // A burst leaves its slot with room for every entry it held, and
+      // every slot sees bursts as the ring turns: keeping that room would
+      // hold the peak per-tick burst times the slot count. Give it back.
+      if (slot.empty() && slot.capacity() > kSlotKeep) {
+        std::vector<Entry>().swap(slot);
+      }
     }
     // The target tick has not fully elapsed: it stays current so entries
     // due later within it (and new past-deadline schedules) are seen by
@@ -113,8 +119,33 @@ std::size_t TimerWheel::advance(std::int64_t now_ns) {
   return fired_total;
 }
 
+std::size_t TimerWheel::slot_capacity() const noexcept {
+  std::size_t n = 0;
+  for (const auto& slot : slots_) n += slot.capacity();
+  return n;
+}
+
 std::optional<std::int64_t> TimerWheel::next_deadline() const {
   if (pending_ == 0) return std::nullopt;
+  // Every pending entry sits in slot (max(its tick, current_tick_)) %
+  // slots, so walking forward from current_tick_, the first tick whose
+  // slot holds an entry due by that tick holds the earliest deadline:
+  // every entry met later is due in a later tick. Entries of later
+  // rotations share slots with due ones and are skipped, not taken.
+  const auto n = static_cast<std::int64_t>(slots_.size());
+  for (std::int64_t tick = current_tick_; tick < current_tick_ + n; ++tick) {
+    const std::int64_t tick_end = (tick + 1) * tick_ns_;
+    std::optional<std::int64_t> best;
+    for (const Entry& entry : slots_[slot_of(tick)]) {
+      if (entry.deadline_ns < tick_end &&
+          (!best || entry.deadline_ns < *best)) {
+        best = entry.deadline_ns;
+      }
+    }
+    if (best) return best;
+  }
+  // Nothing due within one rotation: every entry is at least a rotation
+  // out, so take the plain minimum.
   std::optional<std::int64_t> best;
   for (const auto& slot : slots_) {
     for (const Entry& entry : slot) {

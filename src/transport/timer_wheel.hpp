@@ -64,11 +64,19 @@ class TimerWheel {
   std::size_t advance(std::int64_t now_ns);
 
   /// Earliest pending deadline, or nullopt when the wheel is empty.
-  /// Exact; costs O(slots + pending), which is fine for its one use —
-  /// bounding the pump loop's poll timeout once per iteration.
+  /// Exact. Walks forward from the current tick and stops at the first
+  /// tick holding an entry due by then, so it costs the empty slots up
+  /// to the next due timer plus that slot's entries; only when nothing
+  /// is due within one rotation does it scan every entry. Called once
+  /// per pump iteration to bound the poll timeout.
   [[nodiscard]] std::optional<std::int64_t> next_deadline() const;
 
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
+  /// Entries the slots can hold without allocating: the memory the wheel
+  /// keeps. A slot that empties keeps room for at most kSlotKeep, so this
+  /// stays near pending() + slots * kSlotKeep however large the bursts.
+  [[nodiscard]] std::size_t slot_capacity() const noexcept;
+  static constexpr std::size_t kSlotKeep = 8;
   [[nodiscard]] std::int64_t tick_ns() const noexcept { return tick_ns_; }
 
  private:

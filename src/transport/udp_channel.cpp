@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "net/sim_time.hpp"
@@ -43,6 +45,16 @@ obs::HistogramId recv_batch_hist() {
 }
 
 }  // namespace
+
+void publish(obs::Registry& registry, const UdpChannelStats& stats) {
+  const auto add = [&](std::string_view name, std::uint64_t value) {
+    registry.add(registry.counter(name), value);
+  };
+  add("mcss_channel_gso_messages", stats.gso_messages);
+  add("mcss_channel_gso_segments", stats.gso_segments);
+  add("mcss_channel_gro_buffers", stats.gro_buffers);
+  add("mcss_channel_offload_refusals", stats.offload_refusals);
+}
 
 UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
                        FramePool& pool, std::uint16_t rx_port,
@@ -86,32 +98,70 @@ UdpChannel::UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
   // Every allocation the steady state needs happens HERE, once. The ring
   // bound is every pool slot in flight at once, duplicated (the
   // impairment's duplicate knob shares slots between two pending
-  // entries), plus slack for the RX pins not being in the ring.
+  // entries), plus slack.
   ring_.resize(2 * pool_.capacity() + 4);
   last_flush_release_ns_.reserve(ring_.size());
   tx_msgs_.resize(send_batch_);
   tx_takes_.resize(send_batch_);
+  tx_segments_.resize(send_batch_);
   tx_iovs_.resize(ring_.size());
   rx_frames_.reserve(std::max<std::size_t>(64, 2 * recv_batch_));
+  if (send_batch_ > 1) {
+    const int err = tx_.enable_gso();
+    if (err == 0) {
+      offload_.gso = true;
+      tx_control_.resize(send_batch_);
+    } else {
+      note_refusal(err);
+    }
+  }
   if (recv_batch_ > 1) {
-    rx_slots_.reserve(recv_batch_);
+    // One owned buffer, carved per mode: a GRO buffer must hold a whole
+    // run (64 KB), the fallback recv_batch datagram slots. Either fits
+    // in max(64 KB, recv_batch slots), so the mode never changes memory.
+    rx_buf_bytes_ = std::max(kMinRxBufferBytes,
+                             recv_batch_ * pool_.slot_bytes());
+    rx_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(rx_buf_bytes_);
     rx_msgs_.resize(recv_batch_);
     rx_iovs_.resize(recv_batch_);
-    for (std::size_t i = 0; i < recv_batch_; ++i) {
-      FrameRef slot = pool_.acquire();
-      MCSS_ENSURE(slot,
-                  "frame pool too small to pin this channel's receive slots");
-      rx_iovs_[i].iov_base = slot.data();
-      rx_iovs_[i].iov_len = pool_.slot_bytes();
-      std::memset(&rx_msgs_[i].msg_hdr, 0, sizeof(rx_msgs_[i].msg_hdr));
-      rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
-      rx_msgs_[i].msg_hdr.msg_iovlen = 1;
-      rx_slots_.push_back(std::move(slot));
+    const int err = rx_.enable_gro(true);
+    if (err == 0) {
+      offload_.gro = true;
+    } else {
+      note_refusal(err);
     }
+    carve_rx_buffer();
   }
 }
 
 UdpChannel::~UdpChannel() = default;
+
+void UdpChannel::note_refusal(int err) noexcept {
+  ++stats_.offload_refusals;
+  offload_.refusal_errno = err;
+}
+
+void UdpChannel::carve_rx_buffer() noexcept {
+  rx_msg_count_ = offload_.gro ? 1 : recv_batch_;
+  const std::size_t each = rx_buf_bytes_ / rx_msg_count_;
+  for (std::size_t i = 0; i < rx_msg_count_; ++i) {
+    rx_iovs_[i].iov_base = rx_buf_.get() + i * each;
+    rx_iovs_[i].iov_len = each;
+    std::memset(&rx_msgs_[i].msg_hdr, 0, sizeof(rx_msgs_[i].msg_hdr));
+    rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
+    rx_msgs_[i].msg_hdr.msg_iovlen = 1;
+  }
+  if (offload_.gro) rx_msgs_[0].msg_hdr.msg_control = rx_control_.bytes;
+}
+
+void UdpChannel::force_offload_fallback() {
+  offload_.gso = false;
+  if (offload_.gro) {
+    (void)rx_.enable_gro(false);
+    offload_.gro = false;
+    carve_rx_buffer();
+  }
+}
 
 void UdpChannel::set_on_frame(FrameFn fn) {
   if (!fn) {
@@ -176,8 +226,11 @@ void UdpChannel::release(FrameRef frame, std::int64_t release_ns) {
   ++ring_count_;
   // Legacy mode keeps the old send-on-release behavior; the batched mode
   // waits for the endpoint's per-pump flush unless a full sendmmsg's
-  // worth is already pending.
-  if (send_batch_ == 1 || ring_count_ >= send_batch_) flush(release_ns);
+  // worth is already pending: send_batch datagrams, or with GSO
+  // send_batch whole runs.
+  const std::size_t full =
+      offload_.gso ? send_batch_ * kMaxGsoSegments : send_batch_;
+  if (send_batch_ == 1 || ring_count_ >= full) flush(release_ns);
 }
 
 void UdpChannel::flush(std::int64_t now_ns) {
@@ -209,56 +262,100 @@ void UdpChannel::retire_front_frames(std::size_t frames, std::int64_t now_ns,
   }
 }
 
+namespace {
+
+/// A GSO message's iovecs may not exceed the kernel's UIO_MAXIOV.
+constexpr std::size_t kMaxIovPerMessage = 1024;
+
+/// Errnos with which a kernel refuses a GSO message itself (no checksum
+/// offload on the route, segment size over the MTU, no UDP_SEGMENT).
+bool is_offload_refusal(int err) noexcept {
+  return err == EIO || err == EINVAL || err == ENOPROTOOPT;
+}
+
+}  // namespace
+
 void UdpChannel::flush_batched(std::int64_t now_ns) {
   while (ring_count_ > 0) {
-    // Build up to send_batch_ datagrams: greedy head-first coalescing,
-    // each frame an iovec pointing straight into its pool slot — the
-    // kernel gathers, we never assemble.
+    const std::size_t max_segments = offload_.gso ? kMaxGsoSegments : 1;
+    // Build up to send_batch_ messages. Each datagram is a greedy
+    // head-first coalescing of frames, each frame an iovec pointing
+    // straight into its pool slot — the kernel gathers, we never
+    // assemble. Consecutive datagrams of one size join one message (a
+    // run) that the kernel cuts back at that size.
     std::size_t iov_idx = 0;
     std::size_t frame_idx = 0;
-    unsigned ndg = 0;
-    while (ndg < send_batch_ && frame_idx < ring_count_) {
+    unsigned nmsg = 0;
+    while (nmsg < send_batch_ && frame_idx < ring_count_) {
       const std::size_t start_iov = iov_idx;
-      // The head frame always goes (even if it alone exceeds the budget
-      // — UDP will take it or EMSGSIZE will tell us); later frames join
-      // while they fit.
-      FrameRef& head = ring_at(frame_idx).ref;
-      std::size_t total = head.size();
-      std::size_t take = 1;
-      tx_iovs_[iov_idx].iov_base = head.data();
-      tx_iovs_[iov_idx].iov_len = head.size();
-      ++iov_idx;
-      while (frame_idx + take < ring_count_ &&
-             total + ring_at(frame_idx + take).ref.size() <=
-                 max_datagram_bytes_) {
-        FrameRef& next = ring_at(frame_idx + take).ref;
-        tx_iovs_[iov_idx].iov_base = next.data();
-        tx_iovs_[iov_idx].iov_len = next.size();
-        total += next.size();
-        ++iov_idx;
-        ++take;
+      const std::size_t start_frame = frame_idx;
+      std::size_t segments = 0;
+      std::size_t segment_bytes = 0;
+      std::size_t run_bytes = 0;
+      bool run_open = true;
+      while (run_open && segments < max_segments && frame_idx < ring_count_) {
+        // The head frame always goes (even if it alone exceeds the
+        // budget — UDP will take it or EMSGSIZE will tell us); later
+        // frames join while they fit.
+        std::size_t take = 1;
+        std::size_t total = ring_at(frame_idx).ref.size();
+        while (frame_idx + take < ring_count_ &&
+               total + ring_at(frame_idx + take).ref.size() <=
+                   max_datagram_bytes_) {
+          total += ring_at(frame_idx + take).ref.size();
+          ++take;
+        }
+        if (segments > 0 &&
+            (total > segment_bytes || run_bytes + total > kMaxGsoBytes ||
+             iov_idx - start_iov + take > kMaxIovPerMessage)) {
+          break;  // this datagram starts the next message
+        }
+        for (std::size_t i = 0; i < take; ++i) {
+          FrameRef& f = ring_at(frame_idx + i).ref;
+          tx_iovs_[iov_idx].iov_base = f.data();
+          tx_iovs_[iov_idx].iov_len = f.size();
+          ++iov_idx;
+        }
+        frame_idx += take;
+        run_bytes += total;
+        if (++segments == 1) {
+          segment_bytes = total;
+        } else {
+          run_open = total == segment_bytes;  // a shorter tail ends it
+        }
       }
-      mmsghdr& m = tx_msgs_[ndg];
+      mmsghdr& m = tx_msgs_[nmsg];
       std::memset(&m.msg_hdr, 0, sizeof(m.msg_hdr));
       m.msg_hdr.msg_iov = &tx_iovs_[start_iov];
-      m.msg_hdr.msg_iovlen = take;
+      m.msg_hdr.msg_iovlen = iov_idx - start_iov;
       m.msg_len = 0;
-      tx_takes_[ndg] = take;
-      ++ndg;
-      frame_idx += take;
+      if (segments > 1) {
+        UdpSocket::set_gso_segment(m.msg_hdr, tx_control_[nmsg].bytes,
+                                   static_cast<std::uint16_t>(segment_bytes));
+      }
+      tx_takes_[nmsg] = frame_idx - start_frame;
+      tx_segments_[nmsg] = segments;
+      ++nmsg;
     }
 
-    const auto batch = tx_.send_many({tx_msgs_.data(), ndg});
+    const auto batch = tx_.send_many({tx_msgs_.data(), nmsg});
     if (batch.completed > 0) {
+      std::size_t datagrams = 0;
       for (unsigned i = 0; i < batch.completed; ++i) {
-        ++stats_.datagrams_sent;
+        const std::size_t segments = tx_segments_[i];
+        datagrams += segments;
+        stats_.datagrams_sent += segments;
         stats_.bytes_sent += tx_msgs_[i].msg_len;
-        stats_.frames_coalesced += tx_takes_[i] - 1;
+        stats_.frames_coalesced += tx_takes_[i] - segments;
+        if (segments > 1) {
+          ++stats_.gso_messages;
+          stats_.gso_segments += segments;
+        }
         retire_front_frames(tx_takes_[i], now_ns, /*sent=*/true);
       }
       if (obs::metrics_enabled()) {
-        obs::Registry::global().observe(
-            send_batch_hist(), static_cast<double>(batch.completed));
+        obs::Registry::global().observe(send_batch_hist(),
+                                        static_cast<double>(datagrams));
       }
       // The kernel accepted datagrams, so the congestion episode is
       // over; the next one starts from the base wait.
@@ -266,8 +363,8 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
     }
     switch (batch.result) {
       case UdpSocket::IoResult::Ok:
-        if (batch.completed == ndg) continue;  // full batch; maybe more
-        // Short return: a mid-batch slot failed. Per sendmmsg(2) the
+        if (batch.completed == nmsg) continue;  // full batch; maybe more
+        // Short return: a mid-batch message failed. Per sendmmsg(2) the
         // error surfaces as the HEAD errno of the next call, so just
         // loop — the requeued tail goes out again and the verdict
         // (WouldBlock/Refused/...) lands in one of the cases below.
@@ -287,12 +384,19 @@ void UdpChannel::flush_batched(std::int64_t now_ns) {
         return;
       case UdpSocket::IoResult::Refused:
         // ICMP port unreachable from an earlier datagram, charged to the
-        // head: best-effort loss, not an error. The shares are gone; the
-        // threshold scheme absorbs it.
+        // head run: best-effort loss, not an error. The shares are gone;
+        // the threshold scheme absorbs it.
         ++stats_.send_refused;
         retire_front_frames(tx_takes_[0], now_ns, /*sent=*/false);
         continue;
       case UdpSocket::IoResult::Error:
+        if (tx_segments_[0] > 1 && is_offload_refusal(batch.error)) {
+          // The kernel refused the GSO message itself, not its bytes:
+          // resend the same datagrams one per message from now on.
+          note_refusal(batch.error);
+          offload_.gso = false;
+          continue;
+        }
         ++stats_.send_errors;
         retire_front_frames(tx_takes_[0], now_ns, /*sent=*/false);
         continue;
@@ -368,7 +472,11 @@ void UdpChannel::on_readable() {
 
 void UdpChannel::on_readable_batched() {
   for (;;) {
-    const auto batch = rx_.recv_many({rx_msgs_.data(), recv_batch_});
+    // The kernel overwrites msg_controllen with what it wrote.
+    if (offload_.gro) {
+      rx_msgs_[0].msg_hdr.msg_controllen = sizeof(rx_control_.bytes);
+    }
+    const auto batch = rx_.recv_many({rx_msgs_.data(), rx_msg_count_});
     switch (batch.result) {
       case UdpSocket::IoResult::Ok:
         break;
@@ -381,28 +489,42 @@ void UdpChannel::on_readable_batched() {
         ++stats_.recv_errors;
         return;
     }
-    if (obs::metrics_enabled() && batch.completed > 0) {
-      obs::Registry::global().observe(recv_batch_hist(),
-                                      static_cast<double>(batch.completed));
-    }
+    std::size_t datagrams = 0;
     for (unsigned i = 0; i < batch.completed; ++i) {
       const mmsghdr& m = rx_msgs_[i];
-      if ((m.msg_hdr.msg_flags & MSG_TRUNC) != 0) {
-        // Datagram overflowed its pool slot: the tail is gone and frame
-        // boundaries with it. Count and drop; slots are sized for the
-        // endpoint's own datagrams, so this flags a mis-sized pool.
+      if ((m.msg_hdr.msg_flags & (MSG_TRUNC | MSG_CTRUNC)) != 0) {
+        // The datagram overflowed its slot (or the GRO segment size was
+        // cut off): the tail is gone and frame boundaries with it. Count
+        // and drop; slots are sized for the endpoint's own datagrams, so
+        // this flags a mis-sized buffer.
         ++stats_.recv_truncated;
         continue;
       }
       const std::size_t n = m.msg_len;
       if (n == 0) continue;  // zero-length datagram carries nothing
-      ++stats_.datagrams_received;
       stats_.bytes_received += n;
-      split_into_batch({rx_slots_[i].data(), n});
+      const std::span<const std::uint8_t> buffer(
+          static_cast<const std::uint8_t*>(m.msg_hdr.msg_iov->iov_base), n);
+      // A GRO buffer is a run: datagrams of `segment` bytes, the last
+      // possibly shorter. Each is framed on its own, so an undecodable
+      // datagram cannot swallow the next one.
+      const std::size_t segment =
+          offload_.gro ? UdpSocket::gro_segment(m.msg_hdr) : 0;
+      const std::size_t step = segment != 0 ? segment : n;
+      if (step < n) ++stats_.gro_buffers;
+      for (std::size_t off = 0; off < n; off += step) {
+        ++datagrams;
+        split_into_batch(buffer.subspan(off, std::min(step, n - off)));
+      }
     }
-    // The next recvmmsg reuses the slots these spans point into.
+    stats_.datagrams_received += datagrams;
+    if (obs::metrics_enabled() && datagrams > 0) {
+      obs::Registry::global().observe(recv_batch_hist(),
+                                      static_cast<double>(datagrams));
+    }
+    // The next recvmmsg reuses the buffer these spans point into.
     emit_batch();
-    if (batch.completed < recv_batch_) return;  // queue drained mid-batch
+    if (batch.completed < rx_msg_count_) return;  // queue drained mid-batch
   }
 }
 

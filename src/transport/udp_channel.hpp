@@ -11,18 +11,32 @@
 //        carrying its own release stamp)
 //     -> flush(): greedy-coalesce frames into datagrams of
 //        <= max_datagram_bytes as iovec GATHERS (no assembly copy), then
-//        one sendmmsg(2) moves up to send_batch datagrams; a short
-//        return retires only the completed datagrams and requeues the
-//        tail; EAGAIN parks everything until the poller reports
-//        writability; ECONNREFUSED counts as loss
+//        group consecutive datagrams of one size into a RUN (its last
+//        datagram may be shorter; at most kMaxGsoSegments datagrams and
+//        kMaxGsoBytes bytes) and send each run as ONE message carrying a
+//        UDP_SEGMENT cmsg (UDP GSO: the kernel cuts it back into the same
+//        datagrams). One sendmmsg(2) moves up to send_batch runs; a short
+//        return retires only the completed runs and requeues the rest;
+//        EAGAIN parks everything until the poller reports writability;
+//        ECONNREFUSED retires the head run as loss
 //   on_readable()                            receiver side
-//     -> one recvmmsg(2) fills up to recv_batch persistent pool slots;
-//        repeat until the socket drains
+//     -> with UDP_GRO on, one recvmmsg(2) reads one coalesced buffer and
+//        the channel cuts it at the cmsg's segment size back into
+//        datagrams; without it, one recvmmsg fills up to recv_batch
+//        datagram slots. Either way the buffer is the channel's own (not
+//        pool slots); repeat until the socket drains
 //     -> wire::frame_extent() splits each datagram back into frames IN
 //        PLACE (framing only, no copy), and the whole batch's frame
 //        spans go upward in ONE callback, so a keyed proto::Receiver can
 //        verify them together, keeps sole authority over auth/malformed
 //        accounting, and copies only the payloads it retains
+//
+// Segmentation offload is probed when the channel is built. A kernel
+// that refuses UDP_SEGMENT or UDP_GRO (or later refuses a GSO message
+// with EIO/EINVAL/ENOPROTOOPT) leaves the channel on one datagram per
+// message through the same code path, with the refusal counted in
+// stats().offload_refusals. Wire bytes and datagram boundaries are the
+// same either way.
 //
 // After pool warmup the whole path — release, coalesce, sendmmsg,
 // recvmmsg, split, forward — performs zero heap allocations; the
@@ -33,11 +47,13 @@
 // byte-compatible with the pre-batching transport (recv_batch == 1 hands
 // each datagram's frames up as one batch). bench/live_eval uses
 // it as the honest before/after baseline, and it is the fallback story
-// if batching ever misbehaves (MCSS_LIVE_BATCH=1).
+// if batching ever misbehaves (MCSS_LIVE_BATCH=1). Neither legacy path
+// uses segmentation offload.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,6 +80,10 @@ struct UdpChannelStats {
   std::uint64_t send_refused = 0;       ///< ECONNREFUSED (counted as loss)
   std::uint64_t send_errors = 0;        ///< other errno (datagram dropped)
   std::uint64_t sendmmsg_short = 0;     ///< batch cut short mid-way (tail requeued)
+  std::uint64_t gso_messages = 0;       ///< runs sent as one UDP_SEGMENT message
+  std::uint64_t gso_segments = 0;       ///< datagrams inside those messages
+  std::uint64_t gro_buffers = 0;        ///< received buffers cut at a UDP_GRO size
+  std::uint64_t offload_refusals = 0;   ///< kernel refused GSO/GRO (fallback)
   std::uint64_t recv_refused = 0;       ///< pending ICMP error drained
   std::uint64_t recv_errors = 0;
   std::uint64_t recv_truncated = 0;     ///< datagram overflowed its pool slot
@@ -71,6 +91,11 @@ struct UdpChannelStats {
   std::uint64_t unparsed_forwarded = 0; ///< undecodable tails handed upward
   std::uint64_t frames_dropped_pool = 0;///< pool/ring exhausted (tail drop)
 };
+
+/// Add the socket layer's segmentation-offload counters into the
+/// registry as mcss_channel_gso_messages, _gso_segments, _gro_buffers
+/// and _offload_refusals. Additive, like net::publish(ChannelStats).
+void publish(obs::Registry& registry, const UdpChannelStats& stats);
 
 class UdpChannel {
  public:
@@ -82,19 +107,36 @@ class UdpChannel {
   using FrameFn = std::function<void(std::span<const std::uint8_t>)>;
 
   /// Receives one batch of such spans, in arrival order: every frame
-  /// split out of one recvmmsg call (or, with recv_batch == 1, out of
-  /// one datagram). Same lifetime rule as FrameFn. A batch holds at most
-  /// max(64, 2 * recv_batch) spans; a larger one arrives as several.
+  /// split out of one recvmmsg call (one GRO buffer, or up to recv_batch
+  /// datagrams; with recv_batch == 1, one datagram). Same lifetime rule
+  /// as FrameFn. A batch holds at most max(64, 2 * recv_batch) spans; a
+  /// larger one arrives as several.
   using BatchFn =
       std::function<void(std::span<const std::span<const std::uint8_t>>)>;
+
+  /// Datagrams one GSO message may carry, and its payload bound (below
+  /// UDP's 65 507 so a run always fits one GRO receive buffer).
+  static constexpr std::size_t kMaxGsoSegments = 64;
+  static constexpr std::size_t kMaxGsoBytes = 65'000;
+  /// Smallest receive buffer: one GRO buffer of a whole run.
+  static constexpr std::size_t kMinRxBufferBytes = 65'536;
+
+  /// Whether segmentation offload is in use, and the errno of the latest
+  /// kernel refusal (0 = none).
+  struct Offload {
+    bool gso = false;  ///< runs leave as UDP_SEGMENT messages
+    bool gro = false;  ///< the RX socket hands runs up as one buffer
+    int refusal_errno = 0;
+  };
 
   /// Binds the RX socket to 127.0.0.1:`rx_port` (0 = ephemeral) and
   /// connects an ephemeral TX socket to it. `rng` seeds the impairment's
   /// private loss/jitter stream; the wheel and pool are shared across
-  /// channels and must outlive the channel. `send_batch` caps datagrams
-  /// per sendmmsg, `recv_batch` caps datagrams per recvmmsg (and is the
-  /// number of receive slots pinned from the pool for this channel's
-  /// lifetime); send_batch == 1 selects the legacy unbatched path.
+  /// channels and must outlive the channel. `send_batch` caps messages
+  /// (runs) per sendmmsg, `recv_batch` caps datagrams per recvmmsg
+  /// without GRO and sizes the channel's own receive buffer,
+  /// max(kMinRxBufferBytes, recv_batch * pool slot bytes); send_batch ==
+  /// 1 selects the legacy unbatched path.
   UdpChannel(net::ChannelConfig config, Rng rng, TimerWheel& wheel,
              FramePool& pool, std::uint16_t rx_port, std::string name = {},
              std::size_t max_datagram_bytes = 1400,
@@ -140,8 +182,9 @@ class UdpChannel {
   /// Send whatever the impairment has released. The endpoint calls this
   /// once per pump iteration so frames released close together (one
   /// wheel advance) leave in one sendmmsg; release() also self-flushes
-  /// whenever a full batch is pending, so backlogs never wait for the
-  /// next pump.
+  /// whenever a full sendmmsg's worth is pending (send_batch datagrams,
+  /// or with GSO send_batch runs), so backlogs never wait for the next
+  /// pump.
   void flush(std::int64_t now_ns);
 
   /// True while frames are parked waiting for kernel buffer space — the
@@ -162,6 +205,17 @@ class UdpChannel {
   [[nodiscard]] const UdpChannelStats& stats() const noexcept {
     return stats_;
   }
+  [[nodiscard]] const Offload& offload() const noexcept { return offload_; }
+  /// Bytes of the channel-owned receive buffer (0 on the legacy path).
+  [[nodiscard]] std::size_t rx_buffer_bytes() const noexcept {
+    return rx_buf_bytes_;
+  }
+
+  /// Test hook: leave segmentation offload off from here on, exactly as
+  /// after a kernel refusal (not counted as one). Call before traffic:
+  /// a GRO buffer already queued would not fit a fallback slot.
+  void force_offload_fallback();
+
   /// Kernel-crossing syscall counts (send+sendmmsg / recv+recvmmsg), the
   /// numerator of the bench's syscalls_per_packet column.
   [[nodiscard]] std::uint64_t syscalls_send() const noexcept {
@@ -188,6 +242,10 @@ class UdpChannel {
     FrameRef ref;
     std::int64_t release_ns = 0;
   };
+  /// One message's UDP_SEGMENT / UDP_GRO cmsg space.
+  struct alignas(cmsghdr) Control {
+    unsigned char bytes[UdpSocket::kOffloadControlBytes];
+  };
 
   void release(FrameRef frame, std::int64_t release_ns);
   void flush_batched(std::int64_t now_ns);
@@ -199,6 +257,10 @@ class UdpChannel {
   /// Hand rx_frames_ to on_batch_ and clear it.
   void emit_batch();
   void arm_retry();
+  /// Count a kernel refusal of segmentation offload.
+  void note_refusal(int err) noexcept;
+  /// Point rx_msgs_ at rx_buf_: one message (GRO) or recv_batch.
+  void carve_rx_buffer() noexcept;
   void retire_front_frames(std::size_t frames, std::int64_t now_ns, bool sent);
   [[nodiscard]] Pending& ring_at(std::size_t i) noexcept {
     return ring_[(ring_head_ + i) % ring_.size()];
@@ -227,10 +289,18 @@ class UdpChannel {
   /// constructor: flush() and on_readable() re-fill these in place.
   std::vector<mmsghdr> tx_msgs_;
   std::vector<iovec> tx_iovs_;
-  std::vector<std::size_t> tx_takes_;   ///< frames per built datagram
+  std::vector<std::size_t> tx_takes_;     ///< frames per built message
+  std::vector<std::size_t> tx_segments_;  ///< datagrams per built message
+  std::vector<Control> tx_control_;
   std::vector<mmsghdr> rx_msgs_;
   std::vector<iovec> rx_iovs_;
-  std::vector<FrameRef> rx_slots_;      ///< pool slots pinned for RX reuse
+  std::size_t rx_msg_count_ = 0;  ///< messages per recvmmsg
+  Control rx_control_{};
+  /// The channel's receive buffer: one GRO buffer, or recv_batch
+  /// datagram slots. Not zero-filled: recvmmsg writes before we read.
+  std::unique_ptr<std::uint8_t[]> rx_buf_;
+  std::size_t rx_buf_bytes_ = 0;
+  Offload offload_;
   /// Frame spans of the receive batch being split; fixed capacity.
   std::vector<std::span<const std::uint8_t>> rx_frames_;
   std::vector<std::int64_t> last_flush_release_ns_;

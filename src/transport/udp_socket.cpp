@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -56,12 +57,14 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     inject_wouldblock_ = other.inject_wouldblock_;
+    inject_send_error_ = other.inject_send_error_;
     inject_accept_limit_ = other.inject_accept_limit_;
     inject_accept_armed_ = other.inject_accept_armed_;
     syscalls_send_ = other.syscalls_send_;
     syscalls_recv_ = other.syscalls_recv_;
     other.fd_ = -1;
     other.inject_wouldblock_ = 0;
+    other.inject_send_error_ = 0;
     other.inject_accept_limit_ = 0;
     other.inject_accept_armed_ = false;
     other.syscalls_send_ = 0;
@@ -130,7 +133,10 @@ UdpSocket::BatchResult UdpSocket::send_many(std::span<mmsghdr> msgs) {
     }
   } else if (inject_wouldblock_ > 0) {
     --inject_wouldblock_;
-    return {IoResult::WouldBlock, 0};
+    return {IoResult::WouldBlock, 0, EAGAIN};
+  } else if (inject_send_error_ != 0) {
+    const int err = std::exchange(inject_send_error_, 0);
+    return {IoResult::Error, 0, err};
   }
   for (;;) {
     ++syscalls_send_;
@@ -139,10 +145,10 @@ UdpSocket::BatchResult UdpSocket::send_many(std::span<mmsghdr> msgs) {
     if (n >= 0) return {IoResult::Ok, static_cast<unsigned>(n)};
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoResult::WouldBlock, 0};
+      return {IoResult::WouldBlock, 0, errno};
     }
-    if (errno == ECONNREFUSED) return {IoResult::Refused, 0};
-    return {IoResult::Error, 0};
+    if (errno == ECONNREFUSED) return {IoResult::Refused, 0, errno};
+    return {IoResult::Error, 0, errno};
   }
 }
 
@@ -156,10 +162,10 @@ UdpSocket::BatchResult UdpSocket::recv_many(std::span<mmsghdr> msgs) {
     if (n >= 0) return {IoResult::Ok, static_cast<unsigned>(n)};
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoResult::WouldBlock, 0};
+      return {IoResult::WouldBlock, 0, errno};
     }
-    if (errno == ECONNREFUSED) return {IoResult::Refused, 0};
-    return {IoResult::Error, 0};
+    if (errno == ECONNREFUSED) return {IoResult::Refused, 0, errno};
+    return {IoResult::Error, 0, errno};
   }
 }
 
@@ -182,6 +188,49 @@ UdpSocket::IoResult UdpSocket::recv(std::span<std::uint8_t> buf,
     if (errno == ECONNREFUSED) return IoResult::Refused;
     return IoResult::Error;
   }
+}
+
+void UdpSocket::set_gso_segment(msghdr& msg, void* control,
+                                std::uint16_t segment_bytes) noexcept {
+  msg.msg_control = control;
+  msg.msg_controllen = CMSG_SPACE(sizeof(segment_bytes));
+  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+  cm->cmsg_level = SOL_UDP;
+  cm->cmsg_type = UDP_SEGMENT;
+  cm->cmsg_len = CMSG_LEN(sizeof(segment_bytes));  // the kernel insists
+  std::memcpy(CMSG_DATA(cm), &segment_bytes, sizeof(segment_bytes));
+}
+
+std::size_t UdpSocket::gro_segment(const msghdr& msg) noexcept {
+  for (const cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
+       cm = CMSG_NXTHDR(const_cast<msghdr*>(&msg),
+                        const_cast<cmsghdr*>(cm))) {
+    if (cm->cmsg_level == SOL_UDP && cm->cmsg_type == UDP_GRO &&
+        cm->cmsg_len >= CMSG_LEN(sizeof(int))) {
+      int segment = 0;
+      std::memcpy(&segment, CMSG_DATA(cm), sizeof(segment));
+      return segment > 0 ? static_cast<std::size_t>(segment) : 0;
+    }
+  }
+  return 0;
+}
+
+int UdpSocket::enable_gso() noexcept {
+  if (!valid()) return EBADF;
+  // Segment size 0 is the socket default (no GSO unless a message asks):
+  // the call only asks whether the kernel knows UDP_SEGMENT at all.
+  const int off = 0;
+  return ::setsockopt(fd_, SOL_UDP, UDP_SEGMENT, &off, sizeof(off)) == 0
+             ? 0
+             : errno;
+}
+
+int UdpSocket::enable_gro(bool on) noexcept {
+  if (!valid()) return EBADF;
+  const int value = on ? 1 : 0;
+  return ::setsockopt(fd_, SOL_UDP, UDP_GRO, &value, sizeof(value)) == 0
+             ? 0
+             : errno;
 }
 
 void UdpSocket::set_send_buffer(int bytes) {

@@ -15,10 +15,17 @@
 // Tests can inject WouldBlock deterministically (inject_wouldblock):
 // loopback drains so fast that a real EAGAIN is timing-dependent, but
 // the backpressure path must be exercised on every CI run.
+//
+// UDP segmentation offload (Linux >= 4.18 GSO, >= 5.0 GRO) is plumbed
+// here too: enable_gso()/enable_gro() probe and switch it on, and the
+// two cmsg helpers below write a message's UDP_SEGMENT size and read a
+// received buffer's UDP_GRO segment size. What to coalesce is the
+// channel's business.
 #pragma once
 
 #include <sys/socket.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -42,7 +49,23 @@ class UdpSocket {
   struct BatchResult {
     IoResult result = IoResult::Ok;
     unsigned completed = 0;
+    int error = 0;  ///< the call's errno when result != Ok
   };
+
+  /// Control-buffer bytes one UDP_SEGMENT or UDP_GRO cmsg needs. Both
+  /// carry at most an int; the buffer must be cmsghdr-aligned.
+  static constexpr std::size_t kOffloadControlBytes = CMSG_SPACE(sizeof(int));
+
+  /// Attach a UDP_SEGMENT cmsg to `msg`, written into `control`
+  /// (kOffloadControlBytes, cmsghdr-aligned): the kernel cuts the
+  /// message's payload into `segment_bytes`-sized datagrams, the last one
+  /// possibly shorter.
+  static void set_gso_segment(msghdr& msg, void* control,
+                              std::uint16_t segment_bytes) noexcept;
+
+  /// Segment size from a received message's UDP_GRO cmsg, or 0 when the
+  /// kernel attached none (the buffer is one datagram).
+  [[nodiscard]] static std::size_t gro_segment(const msghdr& msg) noexcept;
 
   /// An invalid (closed) socket; use the factories.
   UdpSocket() = default;
@@ -105,6 +128,17 @@ class UdpSocket {
     return syscalls_recv_;
   }
 
+  /// Probe UDP_SEGMENT (send-side GSO) on this socket: 0 when the
+  /// kernel accepts per-message segment sizes, else the errno that
+  /// refused it (ENOPROTOOPT on kernels without UDP GSO). Changes no
+  /// socket state: the socket's default segment size stays 0 (off).
+  [[nodiscard]] int enable_gso() noexcept;
+
+  /// Switch UDP_GRO on or off: 0 on success, else the refusing errno.
+  /// On, the kernel hands a GSO run up as ONE buffer (gro_segment() says
+  /// where to cut it); off, it delivers the run's datagrams one by one.
+  [[nodiscard]] int enable_gro(bool on) noexcept;
+
   /// Kernel buffer knobs (SO_SNDBUF / SO_RCVBUF), for the backpressure
   /// tests; the kernel doubles and clamps the value it actually applies.
   void set_send_buffer(int bytes);
@@ -115,6 +149,12 @@ class UdpSocket {
   /// batched call consumes ONE injection and completes zero datagrams —
   /// modelling EAGAIN on slot 0.
   void inject_wouldblock(int count) noexcept { inject_wouldblock_ = count; }
+
+  /// Make the next send_many() fail on its first message with `err`
+  /// ({Error, 0, err}) without touching the kernel — e.g. the EIO a
+  /// device without checksum offload returns for a GSO message. One-shot;
+  /// consumed after the wouldblock hook.
+  void inject_send_error(int err) noexcept { inject_send_error_ = err; }
 
   /// Make the next send_many() really send only the first `k` datagrams
   /// and return short ({Ok, k}), as the kernel does when a mid-batch slot
@@ -129,6 +169,7 @@ class UdpSocket {
  private:
   int fd_ = -1;
   int inject_wouldblock_ = 0;
+  int inject_send_error_ = 0;
   int inject_accept_limit_ = 0;
   bool inject_accept_armed_ = false;
   std::uint64_t syscalls_send_ = 0;

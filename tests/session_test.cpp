@@ -99,6 +99,14 @@ TEST(Session, SingleFlowDeliversThroughSessionLayer) {
   EXPECT_EQ(rx->stats().auth_failures, 0u);
 }
 
+TEST(Session, DelayTrackerIsABoundedReservoir) {
+  // Send-to-deliver delays are sampled, not kept per packet: memory stays
+  // fixed however long the endpoint runs (transport_test checks the
+  // reservoir's accuracy).
+  SessionEndpoint ep(clean_config());
+  EXPECT_TRUE(ep.delay_seconds().is_reservoir());
+}
+
 TEST(Session, KeyedFlowsQuarantineCorruptedShares) {
   // Shares sealed per packet in one multi-lane pass: every flow's
   // receiver must still reject the frames a Byzantine channel flipped a

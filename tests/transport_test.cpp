@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <cstring>
 #include <new>
@@ -15,6 +19,7 @@
 
 #include "net/sim_channel.hpp"
 #include "net/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "protocol/receiver.hpp"
 #include "protocol/wire.hpp"
 #include "sss/shamir.hpp"
@@ -29,6 +34,7 @@
 #include "transport/wall_clock.hpp"
 #include "util/ensure.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 // ---- allocation-counting hook ----------------------------------------
 //
@@ -228,6 +234,85 @@ TEST(TimerWheel, CancelFromCallbackSuppressesLaterEntryInSameBatch) {
 }
 
 // --------------------------------------------------------------- poller
+
+TEST(TimerWheel, FiredBurstsGiveTheirSlotMemoryBack) {
+  // One burst per tick over more than a rotation, as a pump at a high
+  // packet rate produces: the wheel must not keep every slot sized for
+  // its largest burst.
+  TimerWheel wheel(1'000, 64);
+  wheel.advance(0);
+  int fired = 0;
+  for (std::int64_t tick = 0; tick < 200; ++tick) {
+    for (int i = 0; i < 500; ++i) {
+      wheel.schedule_at(tick * 1'000 + 10, [&fired] { ++fired; });
+    }
+    wheel.advance(tick * 1'000 + 500);
+  }
+  EXPECT_EQ(fired, 200 * 500);
+  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_LE(wheel.slot_capacity(), 64 * TimerWheel::kSlotKeep);
+}
+
+TEST(TimerWheel, NextDeadlineMatchesExhaustiveScanUnderRandomOps) {
+  // A model of the pending set (id -> deadline) is the exhaustive scan.
+  // Random schedules (past, this tick, within a rotation, several
+  // rotations out), cancels and advances (small steps and jumps past a
+  // rotation) on a small wheel, checked after every operation.
+  constexpr std::int64_t kTick = 1'000;
+  constexpr std::size_t kSlots = 16;
+  constexpr std::int64_t kRotation = kTick * static_cast<std::int64_t>(kSlots);
+  Rng rng(2024);
+  for (int trial = 0; trial < 20; ++trial) {
+    TimerWheel wheel(kTick, kSlots);
+    std::int64_t now = 1'000'000 + trial * 337;
+    wheel.advance(now);
+    std::map<TimerWheel::TimerId, std::int64_t> pending;
+    std::vector<TimerWheel::TimerId> ids;
+    for (int op = 0; op < 1500; ++op) {
+      const std::uint64_t kind = rng.uniform_int(10);
+      if (kind < 5) {
+        std::int64_t offset = 0;
+        switch (rng.uniform_int(4)) {
+          case 0:
+            offset = -static_cast<std::int64_t>(rng.uniform_int(3 * kTick));
+            break;
+          case 1:
+            offset = static_cast<std::int64_t>(rng.uniform_int(kTick));
+            break;
+          case 2:
+            offset = static_cast<std::int64_t>(rng.uniform_int(kRotation));
+            break;
+          default:
+            offset = static_cast<std::int64_t>(rng.uniform_int(4 * kRotation));
+            break;
+        }
+        const std::int64_t deadline = std::max<std::int64_t>(0, now + offset);
+        auto id = std::make_shared<TimerWheel::TimerId>(0);
+        *id = wheel.schedule_at(deadline, [&pending, id] {
+          ASSERT_EQ(pending.erase(*id), 1u);
+        });
+        pending[*id] = deadline;
+        ids.push_back(*id);
+      } else if (kind < 7 && !ids.empty()) {
+        const TimerWheel::TimerId id = ids[rng.uniform_int(ids.size())];
+        const bool was_pending = pending.erase(id) == 1;
+        EXPECT_EQ(wheel.cancel(id), was_pending);
+      } else {
+        now += rng.uniform_int(10) == 0
+                   ? static_cast<std::int64_t>(rng.uniform_int(3 * kRotation))
+                   : static_cast<std::int64_t>(rng.uniform_int(3 * kTick));
+        wheel.advance(now);
+      }
+      std::optional<std::int64_t> expected;
+      for (const auto& [id, deadline] : pending) {
+        if (!expected || deadline < *expected) expected = deadline;
+      }
+      ASSERT_EQ(wheel.pending(), pending.size());
+      ASSERT_EQ(wheel.next_deadline(), expected)
+          << "trial " << trial << " op " << op;
+    }
+  }
+}
 
 class PollerBackends : public ::testing::TestWithParam<Poller::Backend> {};
 
@@ -757,6 +842,9 @@ TEST(UdpChannel, ShortSendmmsgRetiresTheHeadAndResendsTheTail) {
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;  // transparent: releases happen inside try_send
   UdpChannel ch(cfg, Rng(5), wheel, pool, 0, "short");
+  // One datagram per message, so the kernel can take part of the five;
+  // the GSO form of this (whole runs) is GsoShortReturnRequeuesWholeRuns.
+  ch.force_offload_fallback();
   std::vector<std::vector<std::uint8_t>> got;
   ch.set_on_frame(collect_into(got));
 
@@ -814,6 +902,7 @@ TEST(UdpChannel, EagainMidBatchRetiresTheHeadAndParksTheTail) {
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
   UdpChannel ch(cfg, Rng(5), wheel, pool, 0, "slotk");
+  ch.force_offload_fallback();  // per-datagram messages, as above
   ch.set_on_frame([](std::span<const std::uint8_t>) {});
 
   for (std::uint64_t i = 1; i <= 5; ++i) {
@@ -864,13 +953,14 @@ TEST(UdpChannel, RecvmmsgDrainsBurstsLargerThanTheBatch) {
 TEST(UdpChannel, PoolExhaustionUnderStormDegradesToDropWithStat) {
   TimerWheel wheel;
   wheel.advance(0);
-  // 6 slots; the channel pins 2 for its receive batch, leaving 4 for TX.
-  FramePool pool(2048, 6);
+  // 4 slots, all for TX: the channel receives into its own buffer.
+  FramePool pool(2048, 4);
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;
   UdpChannel ch(cfg, Rng(9), wheel, pool, 0, "storm", 1400,
                 /*send_batch=*/32, /*recv_batch=*/2);
   ch.set_on_frame([](std::span<const std::uint8_t>) {});
+  EXPECT_EQ(pool.available(), 4u) << "receiving pins no pool slots";
 
   const auto frame = big_frame_bytes(1);
   std::size_t accepted = 0;
@@ -892,7 +982,7 @@ TEST(UdpChannel, PoolExhaustionUnderStormDegradesToDropWithStat) {
 TEST(UdpChannel, WholeBatchDepartureKeepsPerFrameReleaseStamps) {
   TimerWheel wheel(100'000, 64);
   wheel.advance(0);
-  FramePool pool(2048, 40);  // 32 pinned receive slots + TX headroom
+  FramePool pool(2048, 40);
   ChannelConfig cfg;
   cfg.rate_bps = 8e6;  // 1000 bytes = 1 ms on the serializer
   UdpChannel ch(cfg, Rng(11), wheel, pool, 0, "stamps");
@@ -915,13 +1005,17 @@ TEST(UdpChannel, WholeBatchDepartureKeepsPerFrameReleaseStamps) {
   EXPECT_EQ(stamps[2], 3'000'000);
 }
 
-TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
+/// The allocation-counting hot-path check, on the offload path when the
+/// kernel has it (each round's 8 equal datagrams are one GSO run and one
+/// GRO buffer) or with offload forced off.
+void expect_steady_state_does_not_allocate(bool force_fallback) {
   TimerWheel wheel(100'000, 64);
   wheel.advance(0);
   FramePool pool(2048, 80);
   ChannelConfig cfg;
   cfg.rate_bps = 1e15;  // transparent channel: no wheel, no closures
   UdpChannel ch(cfg, Rng(13), wheel, pool, 0, "hot");
+  if (force_fallback) ch.force_offload_fallback();
   std::size_t frames_seen = 0;
   ch.set_on_frame([&frames_seen](std::span<const std::uint8_t>) {
     ++frames_seen;
@@ -946,6 +1040,8 @@ TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
   }
   ASSERT_EQ(frames_seen, 24u);
 
+  const std::uint64_t gso0 = ch.stats().gso_messages;
+  const std::uint64_t gro0 = ch.stats().gro_buffers;
   g_allocs.store(0);
   g_count_allocs.store(true);
   for (int r = 3; r < 8; ++r) {
@@ -955,6 +1051,368 @@ TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
   ASSERT_EQ(frames_seen, 64u);
   EXPECT_EQ(g_allocs.load(), 0u)
       << "the warmed-up pool/batch/split path must never touch the heap";
+  if (ch.offload().gso && ch.offload().gro) {
+    EXPECT_GT(ch.stats().gso_messages, gso0) << "measured rounds ran GSO";
+    EXPECT_GT(ch.stats().gro_buffers, gro0) << "measured rounds ran GRO";
+  } else {
+    EXPECT_EQ(ch.stats().gso_messages, gso0);
+  }
+}
+
+TEST(UdpChannel, SteadyStateFastPathDoesNotAllocateAfterWarmup) {
+  expect_steady_state_does_not_allocate(/*force_fallback=*/false);
+}
+
+TEST(UdpChannel, SteadyStateFallbackPathDoesNotAllocateAfterWarmup) {
+  expect_steady_state_does_not_allocate(/*force_fallback=*/true);
+}
+
+
+// ------------------------------------------- segmentation offload (GSO/GRO)
+
+/// GSO/GRO tests need the kernel's UDP segmentation offload (UDP_SEGMENT
+/// since Linux 4.18, UDP_GRO since 5.0); elsewhere they skip visibly.
+#define MCSS_REQUIRE_OFFLOAD(ch)                                         \
+  do {                                                                  \
+    if (!(ch).offload().gso || !(ch).offload().gro) {                   \
+      GTEST_SKIP() << "kernel refused UDP GSO/GRO (errno "              \
+                   << (ch).offload().refusal_errno << ")";              \
+    }                                                                   \
+  } while (0)
+
+/// An unauthenticated share frame with a `payload`-byte body:
+/// kHeaderSize + payload bytes on the wire.
+std::vector<std::uint8_t> frame_bytes(std::uint64_t id, std::size_t payload) {
+  proto::ShareFrame frame;
+  frame.packet_id = id;
+  frame.k = 2;
+  frame.share_index = 1;
+  frame.payload =
+      std::vector<std::uint8_t>(payload, static_cast<std::uint8_t>(id));
+  return proto::encode(frame);
+}
+
+/// Datagrams read one recv() at a time until `want` arrived (or the
+/// spin budget ran out).
+std::vector<std::vector<std::uint8_t>> drain_datagrams(UdpSocket& sock,
+                                                       std::size_t want) {
+  std::vector<std::vector<std::uint8_t>> out;
+  std::vector<std::uint8_t> buf(65536);
+  for (int spins = 0; spins < 5000 && out.size() < want; ++spins) {
+    std::size_t n = 0;
+    if (sock.recv(buf, &n) == UdpSocket::IoResult::Ok) {
+      out.emplace_back(buf.begin(),
+                       buf.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+  }
+  return out;
+}
+
+/// Offer every frame (transparent channel: released at once), flush.
+void offer_all(UdpChannel& ch,
+               const std::vector<std::vector<std::uint8_t>>& frames) {
+  for (const auto& f : frames) {
+    ASSERT_TRUE(ch.try_send(std::span<const std::uint8_t>(f), 0));
+  }
+  ch.flush(0);
+}
+
+/// Receive until `want` frames arrived.
+void receive(UdpChannel& ch, std::vector<std::vector<std::uint8_t>>& got,
+             std::size_t want) {
+  for (int spins = 0; spins < 5000 && got.size() < want; ++spins) {
+    ch.on_readable();
+  }
+}
+
+TEST(UdpChannel, GsoRunLeavesInOneMessageWithTheSameDatagrams) {
+  TimerWheel wheel(100'000, 64);
+  wheel.advance(0);
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel gso(cfg, Rng(21), wheel, pool, 0, "gso");
+  MCSS_REQUIRE_OFFLOAD(gso);
+  UdpChannel plain(cfg, Rng(21), wheel, pool, 0, "plain");
+  plain.force_offload_fallback();
+  // Read both through a plain (non-GRO) socket, so the kernel cuts the
+  // GSO message back into datagrams on the way in.
+  ASSERT_EQ(gso.rx_socket().enable_gro(false), 0);
+
+  // 416-B frames, three per 1400-B datagram: datagrams of frames
+  // {1,2,3}, {4,5,6} and a short tail {7} — one run.
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t i = 1; i <= 7; ++i) frames.push_back(frame_bytes(i, 400));
+  offer_all(gso, frames);
+  offer_all(plain, frames);
+
+  EXPECT_EQ(gso.syscalls_send(), 1u);
+  EXPECT_EQ(gso.stats().gso_messages, 1u) << "the whole run, one message";
+  EXPECT_EQ(gso.stats().gso_segments, 3u);
+  EXPECT_EQ(gso.stats().datagrams_sent, 3u);
+  EXPECT_EQ(gso.stats().frames_coalesced, 4u);
+  EXPECT_EQ(plain.syscalls_send(), 1u);
+  EXPECT_EQ(plain.stats().gso_messages, 0u);
+  EXPECT_EQ(plain.stats().datagrams_sent, 3u);
+  EXPECT_EQ(gso.stats().bytes_sent, plain.stats().bytes_sent);
+
+  std::vector<std::vector<std::uint8_t>> expected(3);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    auto& dg = expected[std::min<std::size_t>(i / 3, 2)];
+    dg.insert(dg.end(), frames[i].begin(), frames[i].end());
+  }
+  const auto via_gso = drain_datagrams(gso.rx_socket(), 3);
+  const auto via_plain = drain_datagrams(plain.rx_socket(), 3);
+  EXPECT_EQ(via_plain, expected);
+  EXPECT_EQ(via_gso, via_plain) << "same bytes, same datagram boundaries";
+}
+
+TEST(UdpChannel, GroBufferSplitsAtSegmentSizePastAnUndecodableDatagram) {
+  TimerWheel wheel;
+  wheel.advance(0);
+  FramePool pool(2048, 16);
+  UdpChannel ch(ChannelConfig{}, Rng(23), wheel, pool, 0, "gro");
+  MCSS_REQUIRE_OFFLOAD(ch);
+  std::vector<std::vector<std::uint8_t>> got;
+  ch.set_on_frame(collect_into(got));
+
+  // One GSO run of three datagrams: a frame, same-size garbage, and a
+  // shorter frame. Garbage must not swallow the datagram after it.
+  const auto first = frame_bytes(1, 800);
+  const std::vector<std::uint8_t> junk(first.size(), 0);  // no magic
+  ASSERT_FALSE(proto::frame_extent(junk).has_value());
+  const auto tail = frame_bytes(3, 500);
+  UdpSocket peer = UdpSocket::bound_loopback(0);
+  peer.connect_loopback(ch.rx_port());
+  ASSERT_EQ(peer.enable_gso(), 0);
+  iovec iov[3] = {
+      {const_cast<std::uint8_t*>(first.data()), first.size()},
+      {const_cast<std::uint8_t*>(junk.data()), junk.size()},
+      {const_cast<std::uint8_t*>(tail.data()), tail.size()}};
+  mmsghdr msg{};
+  msg.msg_hdr.msg_iov = iov;
+  msg.msg_hdr.msg_iovlen = 3;
+  alignas(cmsghdr) unsigned char control[UdpSocket::kOffloadControlBytes];
+  UdpSocket::set_gso_segment(msg.msg_hdr, control,
+                             static_cast<std::uint16_t>(first.size()));
+  ASSERT_EQ(peer.send_many({&msg, 1}).completed, 1u);
+
+  receive(ch, got, 3);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], first);
+  EXPECT_EQ(got[1], junk) << "the undecodable datagram goes up whole";
+  EXPECT_EQ(got[2], tail);
+  EXPECT_EQ(ch.stats().gro_buffers, 1u) << "one buffer, cut at gso_size";
+  EXPECT_EQ(ch.stats().datagrams_received, 3u);
+  EXPECT_EQ(ch.stats().frames_forwarded, 2u);
+  EXPECT_EQ(ch.stats().unparsed_forwarded, 1u);
+  EXPECT_EQ(ch.stats().bytes_received,
+            first.size() + junk.size() + tail.size());
+}
+
+TEST(UdpChannel, GsoEagainParksTheWholeRun) {
+  TimerWheel wheel(100'000, 64);
+  wheel.advance(0);
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(25), wheel, pool, 0, "gso-eagain");
+  MCSS_REQUIRE_OFFLOAD(ch);
+  std::vector<std::vector<std::uint8_t>> got;
+  ch.set_on_frame(collect_into(got));
+
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t i = 1; i <= 4; ++i) frames.push_back(big_frame_bytes(i));
+  ch.tx_socket().inject_wouldblock(1);
+  offer_all(ch, frames);
+  EXPECT_EQ(ch.stats().datagrams_sent, 0u);
+  EXPECT_EQ(ch.stats().send_wouldblock, 1u);
+  EXPECT_TRUE(ch.wants_write());
+  ch.on_writable(0);
+  EXPECT_FALSE(ch.wants_write());
+  EXPECT_EQ(ch.stats().datagrams_sent, 4u);
+  EXPECT_EQ(ch.stats().gso_messages, 1u);
+  EXPECT_EQ(ch.syscalls_send(), 1u) << "the injected EAGAIN never reached "
+                                       "the kernel";
+  receive(ch, got, 4);
+  EXPECT_EQ(got, frames);
+  EXPECT_EQ(ch.stats().gro_buffers, 1u);
+}
+
+TEST(UdpChannel, GsoShortReturnRequeuesWholeRuns) {
+  // Two runs: three 816-B datagrams, then three 1016-B ones (a larger
+  // datagram cannot join a run, so it starts the second message).
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t i = 1; i <= 3; ++i) frames.push_back(big_frame_bytes(i));
+  for (std::uint64_t i = 4; i <= 6; ++i) frames.push_back(frame_bytes(i, 1000));
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  {
+    TimerWheel wheel(100'000, 64);
+    wheel.advance(0);
+    FramePool pool(2048, 64);
+    UdpChannel ch(cfg, Rng(27), wheel, pool, 0, "gso-short");
+    MCSS_REQUIRE_OFFLOAD(ch);
+    std::vector<std::vector<std::uint8_t>> got;
+    ch.set_on_frame(collect_into(got));
+    // The kernel takes the first message only; the second is resent
+    // whole by the follow-up call.
+    ch.tx_socket().inject_accept_limit(1);
+    offer_all(ch, frames);
+    EXPECT_EQ(ch.stats().sendmmsg_short, 1u);
+    EXPECT_EQ(ch.syscalls_send(), 2u) << "short batch + one follow-up";
+    EXPECT_EQ(ch.stats().datagrams_sent, 6u);
+    EXPECT_EQ(ch.stats().gso_messages, 2u);
+    EXPECT_EQ(ch.stats().gso_segments, 6u);
+    EXPECT_FALSE(ch.wants_write());
+    receive(ch, got, 6);
+    EXPECT_EQ(got, frames);
+  }
+  {
+    // Mid-batch EAGAIN: the head run is retired, the tail run parks whole.
+    TimerWheel wheel(100'000, 64);
+    wheel.advance(0);
+    FramePool pool(2048, 64);
+    UdpChannel ch(cfg, Rng(27), wheel, pool, 0, "gso-short-eagain");
+    std::vector<std::vector<std::uint8_t>> got;
+    ch.set_on_frame(collect_into(got));
+    ch.tx_socket().inject_accept_limit(1);
+    ch.tx_socket().inject_wouldblock(1);
+    offer_all(ch, frames);
+    EXPECT_EQ(ch.stats().datagrams_sent, 3u) << "head run retired";
+    EXPECT_EQ(ch.stats().send_wouldblock, 1u);
+    EXPECT_TRUE(ch.wants_write()) << "tail run parks until EPOLLOUT";
+    ch.on_writable(0);
+    EXPECT_EQ(ch.stats().datagrams_sent, 6u);
+    EXPECT_EQ(ch.stats().gso_messages, 2u);
+    EXPECT_FALSE(ch.wants_write());
+    receive(ch, got, 6);
+    EXPECT_EQ(got, frames);
+  }
+}
+
+TEST(UdpChannel, GsoRunRefusedByTheKernelIsRetiredWhole) {
+  TimerWheel wheel(100'000, 64);
+  wheel.advance(0);
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(29), wheel, pool, 0, "gso-refused");
+  MCSS_REQUIRE_OFFLOAD(ch);
+  // Close the receiver: each run sent draws an ICMP port unreachable,
+  // which the NEXT sendmmsg reports as ECONNREFUSED on its head run.
+  ch.rx_socket() = UdpSocket{};
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t i = 1; i <= 3; ++i) frames.push_back(big_frame_bytes(i));
+  int runs = 0;
+  while (runs < 100 && ch.stats().send_refused == 0) {
+    offer_all(ch, frames);
+    ++runs;
+  }
+  ASSERT_EQ(ch.stats().send_refused, 1u);
+  // Every run before the refused one left whole; the refused one was
+  // dropped whole — no datagram of it sent, nothing of it parked.
+  EXPECT_EQ(ch.stats().datagrams_sent, 3u * static_cast<unsigned>(runs - 1));
+  EXPECT_EQ(ch.stats().gso_messages, static_cast<unsigned>(runs - 1));
+  EXPECT_FALSE(ch.wants_write());
+  EXPECT_EQ(pool.available(), pool.capacity()) << "every slot returned";
+}
+
+TEST(UdpChannel, KernelRefusingAGsoMessageFallsBackAndResendsTheRun) {
+  TimerWheel wheel(100'000, 64);
+  wheel.advance(0);
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t i = 1; i <= 4; ++i) frames.push_back(big_frame_bytes(i));
+  {
+    UdpChannel ch(cfg, Rng(31), wheel, pool, 0, "gso-eio");
+    MCSS_REQUIRE_OFFLOAD(ch);
+    std::vector<std::vector<std::uint8_t>> got;
+    ch.set_on_frame(collect_into(got));
+    // EIO is what a route without checksum offload answers a GSO
+    // message with: the bytes are fine, the offload is not.
+    ch.tx_socket().inject_send_error(EIO);
+    offer_all(ch, frames);
+    EXPECT_FALSE(ch.offload().gso);
+    EXPECT_EQ(ch.offload().refusal_errno, EIO);
+    EXPECT_EQ(ch.stats().offload_refusals, 1u);
+    EXPECT_EQ(ch.stats().send_errors, 0u);
+    EXPECT_EQ(ch.stats().datagrams_sent, 4u) << "the run, one per message";
+    EXPECT_EQ(ch.stats().gso_messages, 0u);
+    EXPECT_EQ(ch.syscalls_send(), 1u);
+    receive(ch, got, 4);
+    EXPECT_EQ(got, frames);
+  }
+  {
+    // Any other errno is about the bytes: the run is dropped whole and
+    // offload stays on.
+    UdpChannel ch(cfg, Rng(31), wheel, pool, 0, "gso-emsgsize");
+    ch.tx_socket().inject_send_error(EMSGSIZE);
+    offer_all(ch, frames);
+    EXPECT_TRUE(ch.offload().gso);
+    EXPECT_EQ(ch.stats().offload_refusals, 0u);
+    EXPECT_EQ(ch.stats().send_errors, 1u);
+    EXPECT_EQ(ch.stats().datagrams_sent, 0u);
+    EXPECT_FALSE(ch.wants_write());
+    EXPECT_EQ(pool.available(), pool.capacity());
+  }
+}
+
+TEST(UdpChannel, ForcedFallbackSendsAndReceivesOneDatagramPerMessage) {
+  TimerWheel wheel(100'000, 64);
+  wheel.advance(0);
+  FramePool pool(2048, 64);
+  ChannelConfig cfg;
+  cfg.rate_bps = 1e15;
+  UdpChannel ch(cfg, Rng(33), wheel, pool, 0, "fallback");
+  const std::uint64_t refusals = ch.stats().offload_refusals;
+  ch.force_offload_fallback();
+  EXPECT_FALSE(ch.offload().gso);
+  EXPECT_FALSE(ch.offload().gro);
+  EXPECT_EQ(ch.stats().offload_refusals, refusals) << "forced, not refused";
+  std::vector<std::vector<std::uint8_t>> got;
+  ch.set_on_frame(collect_into(got));
+
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t i = 1; i <= 5; ++i) frames.push_back(big_frame_bytes(i));
+  offer_all(ch, frames);
+  EXPECT_EQ(ch.syscalls_send(), 1u) << "still one sendmmsg";
+  EXPECT_EQ(ch.stats().datagrams_sent, 5u);
+  EXPECT_EQ(ch.stats().gso_messages, 0u);
+  receive(ch, got, 5);
+  EXPECT_EQ(got, frames);
+  EXPECT_EQ(ch.stats().datagrams_received, 5u);
+  EXPECT_EQ(ch.stats().gro_buffers, 0u);
+}
+
+TEST(UdpChannel, ReceiveBufferIsTheChannelsOwnAndHoldsAGroRun) {
+  TimerWheel wheel;
+  wheel.advance(0);
+  {
+    FramePool pool(4096, 8);
+    UdpChannel ch(ChannelConfig{}, Rng(35), wheel, pool, 0, "wide", 1400,
+                  /*send_batch=*/32, /*recv_batch=*/32);
+    EXPECT_EQ(ch.rx_buffer_bytes(), 32u * 4096u) << "recv_batch slots";
+    EXPECT_EQ(pool.available(), pool.capacity());
+  }
+  {
+    FramePool pool(2048, 8);
+    UdpChannel ch(ChannelConfig{}, Rng(35), wheel, pool, 0, "narrow", 1400,
+                  /*send_batch=*/32, /*recv_batch=*/4);
+    EXPECT_EQ(ch.rx_buffer_bytes(), UdpChannel::kMinRxBufferBytes)
+        << "a whole GRO run always fits";
+    EXPECT_EQ(pool.available(), pool.capacity());
+  }
+  {
+    FramePool pool(2048, 8);
+    UdpChannel ch(ChannelConfig{}, Rng(35), wheel, pool, 0, "legacy", 1400,
+                  /*send_batch=*/1, /*recv_batch=*/1);
+    EXPECT_EQ(ch.rx_buffer_bytes(), 0u);
+    EXPECT_FALSE(ch.offload().gso);
+    EXPECT_FALSE(ch.offload().gro);
+  }
 }
 
 TEST(Receiver, ArenaReassemblyAppendsDoNotAllocate) {
@@ -1143,6 +1601,59 @@ TEST(LiveEndpoint, DeliversAllPacketsOverCleanLoopback) {
   EXPECT_EQ(ep.receiver().stats().packets_delivered, 50u);
   EXPECT_EQ(ep.receiver().stats().malformed_frames, 0u);
   EXPECT_GT(ep.delay_seconds().count(), 0u);
+}
+
+TEST(LiveEndpoint, DeliversAllPacketsWithOffloadForcedOff) {
+  LiveEndpoint ep(clean_config(3, 100.0, 13));
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    ep.channel(i).force_offload_fallback();
+  }
+  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> delivered;
+  ep.set_deliver([&](std::uint64_t id, std::vector<std::uint8_t> p) {
+    delivered[id] = std::move(p);
+  });
+  Rng rng(101);
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < 50; ++i) {
+    std::vector<std::uint8_t> p(1200);
+    rng.fill(p);
+    payloads.push_back(p);
+    ASSERT_TRUE(ep.send(std::move(p)));
+  }
+  run_until(ep, 5000, [&] { return delivered.size() >= 50; });
+  ASSERT_EQ(delivered.size(), 50u);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(delivered[i + 1], payloads[i]) << "packet " << i + 1;
+  }
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    EXPECT_EQ(ep.channel(i).stats().gso_messages, 0u);
+    EXPECT_EQ(ep.channel(i).stats().gro_buffers, 0u);
+  }
+}
+
+TEST(LiveEndpoint, DelayTrackerIsABoundedReservoir) {
+  LiveEndpoint ep(clean_config(2, 100.0, 3));
+  EXPECT_TRUE(ep.delay_seconds().is_reservoir());
+
+  // 100x its capacity from a known distribution (uniform on [0, 1)):
+  // the reservoir stays at capacity, and its p50/p99 stay within 4.5
+  // standard errors of a kDelaySamples-sample quantile (0.025 at p50,
+  // 0.005 at p99) of the exact values, which an exact tracker confirms.
+  PercentileTracker bounded = delay_tracker(7);
+  PercentileTracker exact;
+  Rng rng(77);
+  const std::size_t n = 100 * kDelaySamples;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = rng.uniform();
+    bounded.add(x);
+    exact.add(x);
+  }
+  EXPECT_EQ(bounded.count(), n);
+  EXPECT_EQ(bounded.retained(), kDelaySamples);
+  EXPECT_NEAR(exact.percentile(50.0), 0.50, 0.002);
+  EXPECT_NEAR(exact.percentile(99.0), 0.99, 0.002);
+  EXPECT_NEAR(bounded.percentile(50.0), exact.percentile(50.0), 0.025);
+  EXPECT_NEAR(bounded.percentile(99.0), exact.percentile(99.0), 0.005);
 }
 
 TEST(LiveEndpoint, PollFallbackBackendDeliversToo) {
@@ -1469,6 +1980,40 @@ TEST(LiveEndpoint, SyscallAndPoolAccountingIsPopulated) {
   EXPECT_GT(ep.pool().stats().acquired, 0u);
   EXPECT_EQ(ep.pool().stats().exhausted, 0u) << "auto-sizing left slack";
   EXPECT_GT(ep.pool().stats().high_water, 0u);
+}
+
+TEST(LiveEndpoint, PublishesOffloadCountersAsChannelMetrics) {
+  LiveEndpoint ep(clean_config(3, 1000.0, 29));
+  std::size_t delivered = 0;
+  ep.set_deliver([&](std::uint64_t, std::vector<std::uint8_t>) {
+    ++delivered;
+  });
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(ep.send(std::vector<std::uint8_t>(1200, 0x5A)));
+  }
+  run_until(ep, 3000, [&] { return delivered >= 40; });
+  ASSERT_EQ(delivered, 40u);
+
+  UdpChannelStats total;
+  for (std::size_t i = 0; i < ep.num_channels(); ++i) {
+    const UdpChannelStats& s = ep.channel(i).stats();
+    total.gso_messages += s.gso_messages;
+    total.gso_segments += s.gso_segments;
+    total.gro_buffers += s.gro_buffers;
+    total.offload_refusals += s.offload_refusals;
+  }
+  obs::Registry registry;
+  ep.publish_metrics(registry);
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_value("mcss_channel_gso_messages"),
+            total.gso_messages);
+  EXPECT_EQ(snap.counter_value("mcss_channel_gso_segments"),
+            total.gso_segments);
+  EXPECT_EQ(snap.counter_value("mcss_channel_gro_buffers"),
+            total.gro_buffers);
+  EXPECT_EQ(snap.counter_value("mcss_channel_offload_refusals"),
+            total.offload_refusals);
+  EXPECT_GE(total.gso_segments, 2 * total.gso_messages);
 }
 
 TEST(LiveEndpoint, PortBaseFromEnvParsesAndFallsBack) {
