@@ -21,9 +21,7 @@
 #include "protocol/dither.hpp"
 #include "protocol/wire.hpp"
 #include "risk/channel_risk.hpp"
-#include "sss/blakley.hpp"
 #include "sss/shamir.hpp"
-#include "sss/shamir16.hpp"
 #include "sss/xor_sharing.hpp"
 #include "util/poisson_binomial.hpp"
 #include "util/rng.hpp"
@@ -106,22 +104,6 @@ void BM_GfMulAccBufPortable(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_GfMulAccBufPortable)->Arg(64)->Arg(1470)->Arg(65536);
-
-void BM_GfMulBuf(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(42);
-  std::vector<gf::Elem> src(n), dst(n);
-  rng.fill(src);
-  for (auto _ : state) {
-    gf::bulk::mul_buf(dst.data(), src.data(), 0x53, n);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(gf::bulk::kernel_name(gf::bulk::active_kernel()));
-}
-BENCHMARK(BM_GfMulBuf)->Arg(64)->Arg(1470)->Arg(65536);
 
 void BM_GfXorBuf(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -227,43 +209,6 @@ void BM_XorSplit(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1470);
 }
 BENCHMARK(BM_XorSplit);
-
-void BM_BlakleySplit(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  Rng rng(30);
-  std::vector<std::uint8_t> secret(1470);
-  for (auto& b : secret) b = rng.byte();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sss::blakley_split(secret, k, m, rng));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1470);
-}
-BENCHMARK(BM_BlakleySplit)->Args({2, 4})->Args({3, 5})->Args({5, 8});
-
-void BM_BlakleyReconstruct(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  Rng rng(31);
-  std::vector<std::uint8_t> secret(1470);
-  for (auto& b : secret) b = rng.byte();
-  const auto shares = sss::blakley_split(secret, k, k, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sss::blakley_reconstruct(shares));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1470);
-}
-BENCHMARK(BM_BlakleyReconstruct)->Arg(2)->Arg(3)->Arg(5);
-
-void BM_Shamir16Split(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  Rng rng(32);
-  std::vector<std::uint16_t> secret(735);  // 1470 bytes of 16-bit symbols
-  for (auto& s : secret) s = static_cast<std::uint16_t>(rng() & 0xFFFF);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sss::split16(secret, 3, m, rng));
-  }
-}
-BENCHMARK(BM_Shamir16Split)->Arg(5)->Arg(50)->Arg(500);
 
 void BM_SipHash(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));

@@ -1,12 +1,9 @@
 #include "feedback/reliable_link.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "protocol/wire.hpp"
 #include "util/ensure.hpp"
-#include "util/link_risk.hpp"
 
 namespace mcss::feedback {
 
@@ -104,67 +101,9 @@ void ReliableLink::on_retransmit(std::uint64_t packet_id,
                                  std::uint8_t generation,
                                  const std::vector<std::uint8_t>& payload,
                                  int k) {
-  const int n = static_cast<int>(forward_.size());
-  const int m = std::min(n, k + config_.retransmit_extra);
-
-  std::vector<int> order(forward_.size());
-  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-
-  if (!config_.channel_link_masks.empty()) {
-    // Link mode: the adversary taps links, so "already exposed" means
-    // the channel's path adds NO link beyond the packet's realized link
-    // union — re-using a possibly-tapped link is free. Others are
-    // ordered by the marginal risk of the links their path would add
-    // (probability any of the NEW links is tapped), index tiebreak.
-    const std::uint64_t exposed_links =
-        manager_.link_exposure(packet_id).value_or(0);
-    const auto added_risk = [&](int i) {
-      std::uint64_t fresh =
-          config_.channel_link_masks[static_cast<std::size_t>(i)] &
-          ~exposed_links;
-      double survive = 1.0;
-      while (fresh != 0) {
-        const int l = std::countr_zero(fresh);
-        fresh &= fresh - 1;
-        if (static_cast<std::size_t>(l) < config_.link_risks.size()) {
-          survive *= 1.0 - config_.link_risks[static_cast<std::size_t>(l)];
-        }
-      }
-      return 1.0 - survive;
-    };
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const bool fa =
-          (config_.channel_link_masks[static_cast<std::size_t>(a)] &
-           ~exposed_links) == 0;
-      const bool fb =
-          (config_.channel_link_masks[static_cast<std::size_t>(b)] &
-           ~exposed_links) == 0;
-      if (fa != fb) return fa;
-      const double ra = added_risk(a);
-      const double rb = added_risk(b);
-      if (ra != rb) return ra < rb;
-      return a < b;
-    });
-  } else {
-    // Privacy-aware ordering: already-exposed channels first (free),
-    // then unexposed ones by ascending risk, index as the tiebreak.
-    const std::uint32_t exposure =
-        manager_.exposure_mask(packet_id).value_or(0);
-    const auto risk = [&](int i) {
-      return static_cast<std::size_t>(i) < config_.risks.size()
-                 ? config_.risks[static_cast<std::size_t>(i)]
-                 : 0.0;
-    };
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const bool ea = (exposure >> a) & 1u;
-      const bool eb = (exposure >> b) & 1u;
-      if (ea != eb) return ea;
-      if (risk(a) != risk(b)) return risk(a) < risk(b);
-      return a < b;
-    });
-  }
-  order.resize(static_cast<std::size_t>(m));
-
+  const auto order = retransmit_order(
+      manager_, packet_id, static_cast<int>(forward_.size()),
+      k + config_.retransmit_extra, config_.risks, config_.link_risks);
   sender_.resend(packet_id, generation, payload, k, order);
   manager_.note_exposure(packet_id, order);
 }

@@ -11,10 +11,11 @@
 //                   RetransmitManager; arriving reports ack/close them;
 //                   RTO timers re-split and resend via Sender::resend()
 //
-// Retransmission channel choice is privacy-aware: channels already in
-// the packet's realized exposure set are preferred (re-using them cannot
-// widen what an eavesdropper could have seen), then unexposed channels
-// by ascending risk. Construct the link INSTEAD of calling
+// Retransmission channel choice is privacy-aware (retransmit_order in
+// feedback/retransmit.hpp): channels already in the packet's realized
+// exposure set are preferred (re-using them cannot widen what an
+// eavesdropper could have seen), then unexposed channels by ascending
+// risk. Construct the link INSTEAD of calling
 // receiver.attach() — it installs its own channel receivers.
 #pragma once
 

@@ -323,4 +323,55 @@ void RetransmitManager::push_deadline(std::uint64_t packet_id,
   deadlines_.emplace(deadline_ns, packet_id);
 }
 
+std::vector<int> retransmit_order(const RetransmitManager& manager,
+                                  std::uint64_t packet_id, int num_channels,
+                                  int m, std::span<const double> risks,
+                                  std::span<const double> link_risks) {
+  MCSS_ENSURE(num_channels >= 1 && num_channels <= 32,
+              "retransmit ordering needs 1..32 channels");
+  const auto at = [](std::span<const double> v, std::size_t i) {
+    return i < v.size() ? v[i] : 0.0;
+  };
+  const auto n = static_cast<std::size_t>(num_channels);
+  // reused[i]: sending on channel i shows the adversary nothing new.
+  std::vector<bool> reused(n);
+  std::vector<double> risk(n);
+  const auto& link_masks = manager.link_map();
+  if (link_masks.empty()) {
+    const std::uint32_t exposure =
+        manager.exposure_mask(packet_id).value_or(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      reused[i] = ((exposure >> i) & 1u) != 0;
+      risk[i] = at(risks, i);
+    }
+  } else {
+    const std::uint64_t exposed_links =
+        manager.link_exposure(packet_id).value_or(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t fresh =
+          (i < link_masks.size() ? link_masks[i] : 0) & ~exposed_links;
+      reused[i] = fresh == 0;
+      double survive = 1.0;
+      while (fresh != 0) {
+        survive *= 1.0 - at(link_risks,
+                            static_cast<std::size_t>(std::countr_zero(fresh)));
+        fresh &= fresh - 1;
+      }
+      risk[i] = 1.0 - survive;
+    }
+  }
+
+  std::vector<int> order(n);
+  for (int i = 0; i < num_channels; ++i) order[static_cast<std::size_t>(i)] = i;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const auto ua = static_cast<std::size_t>(a);
+    const auto ub = static_cast<std::size_t>(b);
+    if (reused[ua] != reused[ub]) return static_cast<bool>(reused[ua]);
+    if (risk[ua] != risk[ub]) return risk[ua] < risk[ub];
+    return a < b;
+  });
+  order.resize(std::min(n, static_cast<std::size_t>(std::max(m, 0))));
+  return order;
+}
+
 }  // namespace mcss::feedback

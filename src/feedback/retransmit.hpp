@@ -270,4 +270,27 @@ class RetransmitManager {
   RetransmitStats stats_;
 };
 
+/// Privacy-aware channel choice for a retransmission of `packet_id`:
+/// channel indices in [0, num_channels), most private first, cut to the
+/// first min(num_channels, m). num_channels must be in [1, 32], the
+/// width of a packet's exposure mask.
+///
+/// Channel mode (no link map installed): channels already in the
+/// packet's realized exposure set come first (re-using them cannot
+/// widen what an eavesdropper could have seen), then the rest by
+/// ascending risks[i], index as the tiebreak.
+///
+/// Link mode (manager.link_map() non-empty): the adversary taps links,
+/// so a channel whose path adds no link beyond the packet's realized
+/// link union is free and comes first; the rest are ordered by the
+/// probability that any link their path ADDS is tapped (link_risks[l]),
+/// index as the tiebreak.
+///
+/// Missing risks/link_risks entries count as 0, and channels beyond the
+/// link map's size traverse no links.
+[[nodiscard]] std::vector<int> retransmit_order(
+    const RetransmitManager& manager, std::uint64_t packet_id,
+    int num_channels, int m, std::span<const double> risks = {},
+    std::span<const double> link_risks = {});
+
 }  // namespace mcss::feedback

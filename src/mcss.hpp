@@ -18,8 +18,6 @@
 #include "feedback/report_builder.hpp" // IWYU pragma: export
 #include "feedback/retransmit.hpp"   // IWYU pragma: export
 #include "field/gf256.hpp"           // IWYU pragma: export
-#include "field/gf65536.hpp"         // IWYU pragma: export
-#include "field/gf_linalg.hpp"       // IWYU pragma: export
 #include "lp/simplex.hpp"            // IWYU pragma: export
 #include "net/cpu_model.hpp"         // IWYU pragma: export
 #include "net/outage.hpp"            // IWYU pragma: export
@@ -31,15 +29,12 @@
 #include "protocol/receiver.hpp"     // IWYU pragma: export
 #include "protocol/scheduler.hpp"    // IWYU pragma: export
 #include "protocol/sender.hpp"       // IWYU pragma: export
-#include "protocol/tunnel.hpp"       // IWYU pragma: export
 #include "protocol/wire.hpp"         // IWYU pragma: export
 #include "risk/channel_risk.hpp"     // IWYU pragma: export
 #include "runtime/parallel.hpp"      // IWYU pragma: export
 #include "runtime/thread_pool.hpp"   // IWYU pragma: export
 #include "risk/hmm.hpp"              // IWYU pragma: export
-#include "sss/blakley.hpp"           // IWYU pragma: export
 #include "sss/shamir.hpp"            // IWYU pragma: export
-#include "sss/shamir16.hpp"          // IWYU pragma: export
 #include "sss/xor_sharing.hpp"       // IWYU pragma: export
 #include "util/backoff.hpp"          // IWYU pragma: export
 #include "util/ensure.hpp"           // IWYU pragma: export

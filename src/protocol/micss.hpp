@@ -10,8 +10,9 @@
 //   - a bounded in-flight window: when it fills (because some share of an
 //     old packet keeps being lost), the sender blocks.
 //
-// The ablation bench contrasts this with ReMICSS's best-effort threshold
-// shares, which tolerate m - k losses without retransmission.
+// Integration.RemicssOutperformsMicssUnderLoss (tests/integration_test.cpp)
+// contrasts this with ReMICSS's best-effort threshold shares, which
+// tolerate m - k losses without retransmission.
 #pragma once
 
 #include <cstdint>

@@ -486,21 +486,11 @@ void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
   if (it == flows_.end()) return;
   Flow& flow = *it->second;
   const std::int64_t now = now_ns();
-  const int n = static_cast<int>(channels_.size());
-  const int m = std::min(n, k + config_.reliability.retransmit_extra);
-  const std::uint32_t exposure = flow.manager->exposure_mask(id).value_or(0);
-
-  // Privacy-aware channel choice, as LiveEndpoint::resend: channels the
-  // adversary model already counts as exposed first, then by index.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const bool ea = (exposure >> a) & 1u;
-    const bool eb = (exposure >> b) & 1u;
-    if (ea != eb) return ea;
-    return a < b;
-  });
-  order.resize(static_cast<std::size_t>(m));
+  // As LiveEndpoint::resend: exposed channels first, then index order.
+  const auto order = feedback::retransmit_order(
+      *flow.manager, id, static_cast<int>(channels_.size()),
+      k + config_.reliability.retransmit_extra);
+  const int m = static_cast<int>(order.size());
 
   ++flow.sender_stats.packets_retransmitted;
   const bool keyed = config_.auth_key.has_value();

@@ -565,23 +565,12 @@ void LiveEndpoint::emit_report() {
 void LiveEndpoint::resend(std::uint64_t id, std::uint8_t generation,
                           const std::vector<std::uint8_t>& payload, int k) {
   const std::int64_t now = now_ns();
-  const int n = static_cast<int>(channels_.size());
-  const int m = std::min(n, k + config_.reliability.retransmit_extra);
-  const std::uint32_t exposure = manager_->exposure_mask(id).value_or(0);
-
-  // Privacy-aware channel choice: already-exposed channels first (free
-  // for the adversary model), then unexposed by index. The live config
-  // has no per-channel risk estimate; index order is the deterministic
-  // fallback, matching ReliableLink with an empty risk vector.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const bool ea = (exposure >> a) & 1u;
-    const bool eb = (exposure >> b) & 1u;
-    if (ea != eb) return ea;
-    return a < b;
-  });
-  order.resize(static_cast<std::size_t>(m));
+  // The live config has no per-channel risk estimate: exposed channels
+  // first, then index order.
+  const auto order = feedback::retransmit_order(
+      *manager_, id, static_cast<int>(channels_.size()),
+      k + config_.reliability.retransmit_extra);
+  const int m = static_cast<int>(order.size());
 
   ++sender_stats_.packets_retransmitted;
   if (obs::trace_enabled()) {

@@ -641,6 +641,57 @@ TEST(RetransmitManager, LinkMapInstallRequiresNothingOutstanding) {
   mgr.set_link_map({0b1});  // legal again once everything closed
 }
 
+// ------------------------------------------------------ retransmit order
+
+TEST(RetransmitOrder, ExposedChannelsFirstThenAscendingRiskThenIndex) {
+  RetransmitManager mgr({}, Rng(23));
+  const std::vector<int> initial{3, 1};
+  mgr.on_packet_sent(1, 2, std::vector<std::uint8_t>{1}, initial, 0);
+  // Exposed {1, 3} lead by their own risk; the rest follow by risk, and
+  // channels 2 and 4 tie at 0.1 so the index decides.
+  const std::vector<double> risks{0.3, 0.9, 0.1, 0.5, 0.1};
+  EXPECT_EQ(retransmit_order(mgr, 1, 5, 5, risks),
+            (std::vector<int>{3, 1, 2, 4, 0}));
+  EXPECT_EQ(retransmit_order(mgr, 1, 5, 3, risks),
+            (std::vector<int>{3, 1, 2}));
+  EXPECT_EQ(retransmit_order(mgr, 1, 5, 9, risks).size(), 5u);
+  // No risk estimate (the live endpoints): exposed first, then index.
+  EXPECT_EQ(retransmit_order(mgr, 1, 5, 5), (std::vector<int>{1, 3, 0, 2, 4}));
+  // Missing risk entries count as 0; an unknown packet exposes nothing.
+  EXPECT_EQ(retransmit_order(mgr, 1, 5, 5, std::vector<double>{0.3, 0.9}),
+            (std::vector<int>{3, 1, 2, 4, 0}));
+  EXPECT_EQ(retransmit_order(mgr, 7, 5, 5, risks),
+            (std::vector<int>{2, 4, 0, 3, 1}));
+}
+
+TEST(RetransmitOrder, LinkModeFreeChannelsFirstThenAddedLinkRisk) {
+  RetransmitManager mgr({}, Rng(25));
+  // ch0 -> {0}, ch1 -> {0, 1}, ch2 -> {2}, ch3 -> {3, 4}; ch4 is beyond
+  // the map and traverses no link.
+  mgr.set_link_map({0b00001, 0b00011, 0b00100, 0b11000});
+  const std::vector<int> initial{1};
+  mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, initial, 0);
+  // Links {0, 1} are exposed, so ch0, ch1 and ch4 add nothing. ch2 adds
+  // link 2 (risk 0.3); ch3 adds links 3 and 4, tapped with probability
+  // 1 - 0.8 * 0.8 = 0.36, so it goes last although each of its links is
+  // safer than link 2. Channel risks play no part in link mode.
+  const std::vector<double> link_risks{0.5, 0.9, 0.3, 0.2, 0.2};
+  const std::vector<double> channel_risks{0.9, 0.9, 0.0, 0.0, 0.9};
+  EXPECT_EQ(retransmit_order(mgr, 1, 5, 5, channel_risks, link_risks),
+            (std::vector<int>{0, 1, 4, 2, 3}));
+  EXPECT_EQ(retransmit_order(mgr, 1, 5, 4, channel_risks, link_risks),
+            (std::vector<int>{0, 1, 4, 2}));
+}
+
+TEST(RetransmitOrder, RejectsChannelCountsOutsideTheExposureMask) {
+  RetransmitManager mgr({}, Rng(27));
+  const std::vector<int> initial{0};
+  mgr.on_packet_sent(1, 1, std::vector<std::uint8_t>{1}, initial, 0);
+  EXPECT_EQ(retransmit_order(mgr, 1, 32, 2), (std::vector<int>{0, 1}));
+  EXPECT_THROW((void)retransmit_order(mgr, 1, 33, 2), PreconditionError);
+  EXPECT_THROW((void)retransmit_order(mgr, 1, 0, 2), PreconditionError);
+}
+
 // -------------------------------------------------------------- redundancy
 
 ChannelSet eval_channels() {
@@ -890,6 +941,27 @@ TEST(ReliableLink, RetransmitAddsTheCheapestFreshLink) {
   EXPECT_EQ(p.initial_link_mask, 0b0011u);
   EXPECT_EQ(p.link_exposure_mask, 0b1011u);
   EXPECT_EQ(p.exposure_mask, 0b1011u);
+}
+
+TEST(ReliableLink, RejectsMoreForwardChannelsThanTheExposureMaskHolds) {
+  net::Simulator sim;
+  Rng seeder(29);
+  std::vector<std::unique_ptr<net::SimChannel>> storage;
+  std::vector<net::SimChannel*> forward;
+  for (int i = 0; i < 33; ++i) {
+    storage.push_back(
+        std::make_unique<net::SimChannel>(sim, net::ChannelConfig{},
+                                          seeder.fork()));
+    forward.push_back(storage.back().get());
+  }
+  net::SimChannel feedback(sim, net::ChannelConfig{}, seeder.fork());
+  proto::Receiver receiver(sim);
+  proto::Sender sender(sim, std::vector<net::SimChannel*>{forward[0]},
+                       std::make_unique<proto::DynamicScheduler>(1.0, 1.0, 1),
+                       seeder.fork());
+  EXPECT_THROW(ReliableLink(sim, sender, receiver, forward, feedback, {},
+                            seeder.fork()),
+               PreconditionError);
 }
 
 TEST(ReliableLink, AuthenticatedReportsRejectForgeries) {
