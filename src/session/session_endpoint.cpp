@@ -5,6 +5,7 @@
 
 #include "feedback/report.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "protocol/wire.hpp"
 #include "sss/shamir.hpp"
 #include "transport/wall_clock.hpp"
@@ -37,8 +38,9 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
   MCSS_ENSURE(config_.limits.admission_headroom > 0.0,
               "admission headroom must be positive");
   if (config_.port_base != 0) {
-    // Same wraparound guard as LiveEndpoint: channel i binds
-    // port_base + i plus one feedback lane when reliability is on.
+    // Channel i binds port_base + i, plus one feedback lane when
+    // reliability is on. uint16_t arithmetic would otherwise wrap
+    // silently and bind a channel at a low port (or 0 = ephemeral).
     const std::size_t last_lane = config_.channels.size() -
                                   (config_.reliability.enabled ? 0 : 1);
     MCSS_ENSURE(static_cast<std::size_t>(config_.port_base) + last_lane <=
@@ -50,8 +52,8 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
   // One arena for everything: TX encode slots, frames parked at the
   // impairment serializer, and per-flow reassembly partials (each
   // channel receives into its own buffer, not the arena). The auto-size
-  // adds partial slack beyond LiveEndpoint's because flows borrow slots
-  // for as long as a partial is open.
+  // adds partial slack because flows borrow slots for as long as a
+  // partial is open.
   {
     const std::size_t slot_bytes =
         config_.pool_slot_bytes != 0
@@ -65,6 +67,9 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
             : lanes * 4 * config_.send_batch + 256;
     pool_ = std::make_unique<transport::FramePool>(slot_bytes, slots);
   }
+  // On the uring backend, pre-register the arena with the ring
+  // (IORING_REGISTER_BUFFERS) so the pages frame slots live in are pinned
+  // once instead of per syscall; epoll/poll ignore this.
   poller_.register_buffers({pool_->arena_data(), pool_->arena_bytes()});
   delay_ = transport::delay_tracker(config_.seed);
 
@@ -75,7 +80,6 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
   budget_bytes_per_s_ *= config_.limits.admission_headroom;
 
   channels_.reserve(config_.channels.size());
-  write_interest_.assign(config_.channels.size(), false);
   for (std::size_t i = 0; i < config_.channels.size(); ++i) {
     const auto& spec = config_.channels[i];
     const std::uint16_t port =
@@ -85,9 +89,7 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
     auto ch = std::make_unique<transport::UdpChannel>(
         spec.config, rng_.fork(), wheel_, *pool_, port, spec.name,
         config_.max_datagram_bytes, config_.send_batch, config_.recv_batch);
-    ch->set_on_frame([this, i](std::span<const std::uint8_t> frame) {
-      on_share_frame(i, frame);
-    });
+    ch->set_on_batch([this, i](Frames frames) { on_share_batch(i, frames); });
     poller_.add(ch->rx_fd(), /*want_read=*/true, /*want_write=*/false);
     poller_.add(ch->tx_fd(), /*want_read=*/false, /*want_write=*/false);
     fd_to_channel_[ch->rx_fd()] = i;
@@ -101,6 +103,8 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
         config_.port_base != 0
             ? static_cast<std::uint16_t>(config_.port_base + n)
             : 0;
+    // Report datagrams fail share framing at the channel, so they arrive
+    // whole via the unparsed-forward path.
     feedback_ch_ = std::make_unique<transport::UdpChannel>(
         config_.reliability.feedback_channel, rng_.fork(), wheel_, *pool_,
         fb_port, "feedback", config_.max_datagram_bytes, config_.send_batch,
@@ -120,6 +124,7 @@ SessionEndpoint::SessionEndpoint(SessionConfig config)
     wheel_.schedule_at(now_ns() + config_.reliability.report_interval_ns,
                        [this] { emit_reports(); });
   }
+  write_interest_.assign(num_lanes(), false);
 
   if (config_.telemetry.enabled) init_telemetry();
 }
@@ -184,7 +189,17 @@ double SessionEndpoint::price_flow(const FlowParams& params) const noexcept {
 
 std::optional<std::uint32_t> SessionEndpoint::open_flow(
     const FlowParams& params) {
+  std::uint32_t cid = next_cid_;
+  while (cid == 0 || flows_.count(cid) != 0) ++cid;  // 0 only by name
+  const auto opened = open_flow_as(cid, params);
+  if (opened) next_cid_ = cid + 1;
+  return opened;
+}
+
+std::optional<std::uint32_t> SessionEndpoint::open_flow_as(
+    std::uint32_t cid, const FlowParams& params) {
   const std::int64_t t0 = transport::monotonic_ns();
+  MCSS_ENSURE(flows_.count(cid) == 0, "connection id is already open");
   if (flows_.size() >= config_.limits.max_flows) {
     ++stats_.flows_rejected_capacity;
     return std::nullopt;
@@ -195,10 +210,6 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
     return std::nullopt;
   }
 
-  std::uint32_t cid = next_cid_;
-  while (cid == 0 || flows_.count(cid) != 0) ++cid;  // 0 is the no-flow id
-  next_cid_ = cid + 1;
-
   proto::ReceiverConfig rc = config_.receiver;
   rc.memory_limit_bytes = config_.limits.per_flow_memory_bytes;
   rc.arena = pool_.get();
@@ -208,9 +219,12 @@ std::optional<std::uint32_t> SessionEndpoint::open_flow(
       cid, params, price, timeline_, std::move(rc),
       params.kappa.value_or(config_.kappa), params.mu.value_or(config_.mu),
       static_cast<int>(channels_.size()), now_ns());
+  // The flow owns its receiver, so the receiver's callback can hold the
+  // flow itself.
   flow->receiver.set_deliver(
-      [this, cid](std::uint64_t id, std::vector<std::uint8_t> payload) {
-        on_delivered(cid, id, std::move(payload));
+      [this, f = flow.get()](std::uint64_t id,
+                             std::vector<std::uint8_t> payload) {
+        on_delivered(*f, id, std::move(payload));
       });
   if (config_.reliability.enabled) {
     flow->builder.emplace(feedback::ReportBuilderConfig{
@@ -252,8 +266,8 @@ bool SessionEndpoint::close_flow(std::uint32_t cid) {
     flow.rto_timer = transport::TimerWheel::kNoTimer;
   }
   fold_closed(flow);
-  unlink_ready(flow);
-  unlink_report(flow);
+  ready_.unlink(flow);
+  report_.unlink(flow);
   admitted_bytes_per_s_ =
       std::max(0.0, admitted_bytes_per_s_ - flow.admitted_bytes_per_s);
   ++stats_.flows_closed;
@@ -275,76 +289,38 @@ bool SessionEndpoint::send(std::uint32_t cid,
     return false;
   }
   flow.queue.push_back(std::move(payload));
-  push_ready(flow);
+  ready_.push_back(flow);
   return true;
 }
 
-void SessionEndpoint::push_ready(Flow& flow) {
-  if (flow.in_ready) return;
-  flow.in_ready = true;
-  flow.ready_prev = ready_tail_;
-  flow.ready_next = nullptr;
-  if (ready_tail_ != nullptr) {
-    ready_tail_->ready_next = &flow;
-  } else {
-    ready_head_ = &flow;
-  }
-  ready_tail_ = &flow;
+void SessionEndpoint::FlowList::push_back(Flow& flow) {
+  Hook& h = flow.*hook;
+  if (h.linked) return;
+  h = {tail, nullptr, true};
+  (tail != nullptr ? (tail->*hook).next : head) = &flow;
+  tail = &flow;
 }
 
-void SessionEndpoint::unlink_ready(Flow& flow) {
-  if (!flow.in_ready) return;
-  if (flow.ready_prev != nullptr) {
-    flow.ready_prev->ready_next = flow.ready_next;
-  } else {
-    ready_head_ = flow.ready_next;
-  }
-  if (flow.ready_next != nullptr) {
-    flow.ready_next->ready_prev = flow.ready_prev;
-  } else {
-    ready_tail_ = flow.ready_prev;
-  }
-  flow.ready_prev = flow.ready_next = nullptr;
-  flow.in_ready = false;
-}
-
-void SessionEndpoint::push_report(Flow& flow) {
-  if (flow.in_report) return;
-  flow.in_report = true;
-  flow.report_prev = report_tail_;
-  flow.report_next = nullptr;
-  if (report_tail_ != nullptr) {
-    report_tail_->report_next = &flow;
-  } else {
-    report_head_ = &flow;
-  }
-  report_tail_ = &flow;
-}
-
-void SessionEndpoint::unlink_report(Flow& flow) {
-  if (!flow.in_report) return;
-  if (flow.report_prev != nullptr) {
-    flow.report_prev->report_next = flow.report_next;
-  } else {
-    report_head_ = flow.report_next;
-  }
-  if (flow.report_next != nullptr) {
-    flow.report_next->report_prev = flow.report_prev;
-  } else {
-    report_tail_ = flow.report_prev;
-  }
-  flow.report_prev = flow.report_next = nullptr;
-  flow.in_report = false;
+void SessionEndpoint::FlowList::unlink(Flow& flow) {
+  Hook& h = flow.*hook;
+  if (!h.linked) return;
+  (h.prev != nullptr ? (h.prev->*hook).next : head) = h.next;
+  (h.next != nullptr ? (h.next->*hook).prev : tail) = h.prev;
+  h = {};
 }
 
 void SessionEndpoint::pump(std::int64_t now) {
   std::size_t budget = config_.limits.max_dispatch_per_pump;
-  while (ready_head_ != nullptr && budget > 0) {
+  while (ready_.head != nullptr && budget > 0) {
     // Pool backpressure: a dispatch fans out to at most one share per
     // channel; without headroom, leave packets queued (flows stay on
     // the ready list) and let departures free slots.
     if (pool_->available() < channels_.size()) {
       ++stats_.pool_defers;
+      if (obs::trace_enabled()) {
+        obs::Tracer::global().instant("pool_defer", "sender", now, 0, "queued",
+                                      ready_.head->queue.size());
+      }
       return;
     }
     view_scratch_.resize(channels_.size());
@@ -352,19 +328,23 @@ void SessionEndpoint::pump(std::int64_t now) {
       view_scratch_[i] = {channels_[i]->ready(now),
                           channels_[i]->backlog_ns(now)};
     }
-    Flow& flow = *ready_head_;
+    Flow& flow = *ready_.head;
     const auto decision = flow.scheduler.next(view_scratch_);
     if (!decision) {
       // DynamicScheduler defers only when no channel is writable — a
       // condition shared by every flow, so stop the round entirely.
       ++stats_.schedule_defers;
+      if (obs::trace_enabled()) {
+        obs::Tracer::global().instant("schedule_defer", "sender", now, 0,
+                                      "queued", flow.queue.size());
+      }
       return;
     }
     std::vector<std::uint8_t> payload = std::move(flow.queue.front());
     flow.queue.pop_front();
     // Round-robin fairness: one packet per turn, then to the tail.
-    unlink_ready(flow);
-    if (!flow.queue.empty()) push_ready(flow);
+    ready_.unlink(flow);
+    if (!flow.queue.empty()) ready_.push_back(flow);
     dispatch(flow, std::move(payload), *decision, now);
     --budget;
   }
@@ -396,10 +376,20 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
     flow.manager->on_packet_sent(id, k, payload, decision.channels, now);
     arm_rto(flow, now);
   }
+  // Span ids are the flow's packet ids (what the receiver ends them
+  // with), so a multi-flow trace overlays flows that share an id.
+  if (obs::trace_enabled()) {
+    obs::Tracer::global().async_begin("packet", "packet", id, now, "k",
+                                      static_cast<std::uint64_t>(k), "m",
+                                      static_cast<std::uint64_t>(m));
+  }
 
-  // Same split-into-slot fast path as LiveEndpoint::dispatch, with the
-  // flow's connection id in every header. Falls back to the vector path
-  // when the pool cannot cover the fan-out or a frame outgrows a slot.
+  // Fast path: one arena slot per share, header written first, then
+  // sss::split_into computes the share bytes STRAIGHT into the slots'
+  // payload regions — no Share vectors, no per-share copy, nothing
+  // allocated per packet after warmup. Falls back to send_shares when
+  // the pool cannot cover the whole fan-out (the pump gate makes that
+  // rare) or a frame would not fit a slot.
   const bool keyed = config_.auth_key.has_value();
   const std::size_t need =
       proto::encoded_size(payload.size(), 0, keyed, flow.cid);
@@ -412,7 +402,7 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
       transport::FrameRef slot = pool_->acquire();
       if (!slot) {
         fast = false;
-        tx_slots_.clear();
+        tx_slots_.clear();  // hand the acquired slots back
         tx_spans_.clear();
         tx_frames_.clear();
         break;
@@ -430,51 +420,83 @@ void SessionEndpoint::dispatch(Flow& flow, std::vector<std::uint8_t> payload,
       tx_slots_.push_back(std::move(slot));
     }
   }
-  if (fast) {
-    sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
-    if (keyed) proto::seal_frames(tx_frames_, *config_.auth_key);
-    for (int j = 0; j < m; ++j) {
-      const auto idx = static_cast<std::size_t>(j);
-      const auto ch = static_cast<std::size_t>(decision.channels[idx]);
-      ++flow.sender_stats.shares_sent;
-      if (!channels_[ch]->try_send(std::move(tx_slots_[idx]), now)) {
-        ++flow.sender_stats.shares_dropped_at_channel;
-      }
-    }
-    tx_slots_.clear();
-    tx_spans_.clear();
-    tx_frames_.clear();
+  if (!fast) {
+    send_shares(flow, id, 0, k, payload, decision.channels, now);
     return;
   }
+  sss::split_into(payload, k, tx_spans_, split_scratch_, rng_);
+  // All m frames have the same length: one multi-lane tag pass.
+  if (keyed) proto::seal_frames(tx_frames_, *config_.auth_key);
+  for (int j = 0; j < m; ++j) {
+    const auto idx = static_cast<std::size_t>(j);
+    const auto ch = static_cast<std::size_t>(decision.channels[idx]);
+    const std::uint64_t span =
+        obs::share_span_id(id, static_cast<std::uint8_t>(j + 1));
+    ++flow.sender_stats.shares_sent;
+    if (obs::trace_enabled()) {
+      obs::Tracer::global().async_begin("share", "share", span, now,
+                                        "channel", ch);
+    }
+    if (!channels_[ch]->try_send(std::move(tx_slots_[idx]), now)) {
+      ++flow.sender_stats.shares_dropped_at_channel;
+      if (obs::trace_enabled()) {
+        obs::Tracer::global().async_end("share", "share", span, now);
+      }
+    }
+  }
+  tx_slots_.clear();
+  tx_spans_.clear();
+  tx_frames_.clear();
+}
 
-  auto shares = sss::split(payload, k, m, rng_);
+void SessionEndpoint::send_shares(Flow& flow, std::uint64_t id,
+                                  std::uint8_t generation, int k,
+                                  std::span<const std::uint8_t> payload,
+                                  std::span<const int> channels,
+                                  std::int64_t now) {
   const crypto::SipHashKey* key =
       config_.auth_key ? &*config_.auth_key : nullptr;
-  for (int j = 0; j < m; ++j) {
+  auto shares = sss::split(payload, k, static_cast<int>(channels.size()), rng_);
+  for (std::size_t j = 0; j < channels.size(); ++j) {
     proto::ShareFrame frame;
     frame.packet_id = id;
     frame.k = static_cast<std::uint8_t>(k);
-    frame.share_index = shares[static_cast<std::size_t>(j)].index;
+    frame.share_index = shares[j].index;
+    frame.generation = generation;
     frame.connection_id = flow.cid;
-    frame.payload = std::move(shares[static_cast<std::size_t>(j)].data);
-    const auto ch = static_cast<std::size_t>(
-        decision.channels[static_cast<std::size_t>(j)]);
-    ++flow.sender_stats.shares_sent;
-    const std::size_t frame_need = proto::encoded_size(frame, keyed);
-    if (frame_need > pool_->slot_bytes()) {
+    frame.payload = std::move(shares[j].data);
+    const auto ch = static_cast<std::size_t>(channels[j]);
+    const std::uint64_t span = obs::share_span_id(id, frame.share_index);
+    const bool traced = generation == 0 && obs::trace_enabled();
+    if (generation == 0) {
+      ++flow.sender_stats.shares_sent;
+    } else {
+      ++flow.sender_stats.shares_retransmitted;
+    }
+    if (traced) {
+      obs::Tracer::global().async_begin("share", "share", span, now, "channel",
+                                        ch);
+    }
+    // A frame too large for the arena cannot travel the pooled path;
+    // degrade is drop-with-stat (size the pool for your payloads).
+    const std::size_t need = proto::encoded_size(frame, key != nullptr);
+    transport::FrameRef slot;
+    if (need > pool_->slot_bytes()) {
       ++stats_.pool_oversize_drops;
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
+    } else {
+      slot = pool_->acquire();  // exhaustion is counted by the pool
     }
-    transport::FrameRef slot = pool_->acquire();
-    if (!slot) {
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
+    bool sent = false;
+    if (slot) {
+      slot.resize(need);
+      // Serialize once, straight into the arena — the frame's bytes are
+      // never copied again until the kernel gathers them into a datagram.
+      proto::encode_into(frame, slot.span(), key);
+      sent = channels_[ch]->try_send(std::move(slot), now);
     }
-    slot.resize(frame_need);
-    proto::encode_into(frame, slot.span(), key);
-    if (!channels_[ch]->try_send(std::move(slot), now)) {
+    if (!sent) {
       ++flow.sender_stats.shares_dropped_at_channel;
+      if (traced) obs::Tracer::global().async_end("share", "share", span, now);
     }
   }
 }
@@ -486,45 +508,20 @@ void SessionEndpoint::resend(std::uint32_t cid, std::uint64_t id,
   if (it == flows_.end()) return;
   Flow& flow = *it->second;
   const std::int64_t now = now_ns();
-  // As LiveEndpoint::resend: exposed channels first, then index order.
+  // No per-channel risk estimate here: exposed channels first, then
+  // index order.
   const auto order = feedback::retransmit_order(
       *flow.manager, id, static_cast<int>(channels_.size()),
       k + config_.reliability.retransmit_extra);
-  const int m = static_cast<int>(order.size());
 
   ++flow.sender_stats.packets_retransmitted;
-  const bool keyed = config_.auth_key.has_value();
-  const crypto::SipHashKey* key =
-      config_.auth_key ? &*config_.auth_key : nullptr;
-  auto shares = sss::split(payload, k, m, rng_);
-  for (int j = 0; j < m; ++j) {
-    proto::ShareFrame frame;
-    frame.packet_id = id;
-    frame.k = static_cast<std::uint8_t>(k);
-    frame.share_index = shares[static_cast<std::size_t>(j)].index;
-    frame.generation = generation;
-    frame.connection_id = cid;
-    frame.payload = std::move(shares[static_cast<std::size_t>(j)].data);
-    const auto ch =
-        static_cast<std::size_t>(order[static_cast<std::size_t>(j)]);
-    ++flow.sender_stats.shares_retransmitted;
-    const std::size_t need = proto::encoded_size(frame, keyed);
-    if (need > pool_->slot_bytes()) {
-      ++stats_.pool_oversize_drops;
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
-    }
-    transport::FrameRef slot = pool_->acquire();
-    if (!slot) {
-      ++flow.sender_stats.shares_dropped_at_channel;
-      continue;
-    }
-    slot.resize(need);
-    proto::encode_into(frame, slot.span(), key);
-    if (!channels_[ch]->try_send(std::move(slot), now)) {
-      ++flow.sender_stats.shares_dropped_at_channel;
-    }
+  if (obs::trace_enabled()) {
+    obs::Tracer::global().instant("retransmit", "sender", now, id,
+                                  "generation",
+                                  static_cast<std::uint64_t>(generation), "m",
+                                  static_cast<std::uint64_t>(order.size()));
   }
+  send_shares(flow, id, generation, k, payload, order, now);
   flow.manager->note_exposure(id, order);
 }
 
@@ -559,40 +556,62 @@ void SessionEndpoint::arm_rto(Flow& flow, std::int64_t now) {
   });
 }
 
-void SessionEndpoint::on_share_frame(std::size_t channel,
-                                     std::span<const std::uint8_t> frame) {
+void SessionEndpoint::on_share_batch(std::size_t channel, Frames frames) {
+  // Keep the receivers' clock caught up before they stamp first_seen.
   sync_timeline(now_ns());
-  proto::DecodeStatus status = proto::DecodeStatus::Ok;
   // Framing-only peek (no key): route on the connection id, then let the
-  // owning flow's receiver do its own (keyed) decode and accounting.
-  const auto view = proto::decode_view(frame, nullptr, &status);
-  if (!view) {
-    ++stats_.frames_undecodable;
-    return;
+  // owning flow's receiver do its own (keyed) decode and accounting, one
+  // call per run of consecutive same-owner frames. Undecodable heads
+  // carry no id; they run with connection 0's frames.
+  std::size_t start = 0;
+  std::uint32_t run_cid = 0;
+  std::size_t run_undecodable = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto view = proto::decode_view(frames[i]);
+    if (!view) ++stats_.frames_undecodable;
+    const std::uint32_t cid = view ? view->connection_id : 0;
+    if (i > start && cid != run_cid) {
+      deliver_run(channel, run_cid, frames.subspan(start, i - start),
+                  run_undecodable);
+      start = i;
+      run_undecodable = 0;
+    }
+    run_cid = cid;
+    if (!view) ++run_undecodable;
   }
-  if (view->connection_id == 0) {
-    // The single-flow encoding has no owner here; a session endpoint
-    // drops it rather than guess (pre-session peers need LiveEndpoint).
-    ++stats_.frames_without_connection;
-    return;
+  if (start < frames.size()) {
+    deliver_run(channel, run_cid, frames.subspan(start), run_undecodable);
   }
-  const auto it = flows_.find(view->connection_id);
-  if (it == flows_.end()) {
-    // Late shares of a closed flow, or a forged/unknown id.
-    ++stats_.frames_unknown_connection;
-    return;
-  }
-  Flow& flow = *it->second;
-  if (flow.builder) flow.builder->on_channel_frame(channel, true);
-  ++stats_.frames_demuxed;
-  flow.receiver.on_frame(frame);
 }
 
-void SessionEndpoint::on_delivered(std::uint32_t cid, std::uint64_t id,
-                                   std::vector<std::uint8_t> payload) {
+void SessionEndpoint::deliver_run(std::size_t channel, std::uint32_t cid,
+                                  Frames run, std::size_t undecodable) {
+  const std::size_t framed = run.size() - undecodable;
+  // Looked up per run, not cached across runs: an earlier run's delivery
+  // callback may have closed this flow.
   const auto it = flows_.find(cid);
-  if (it == flows_.end()) return;
+  if (it == flows_.end()) {
+    // cid 0 without flow 0: the single-flow encoding has no owner here.
+    // Otherwise late shares of a closed flow, or a forged/unknown id.
+    (cid == 0 ? stats_.frames_without_connection
+              : stats_.frames_unknown_connection) += framed;
+    return;
+  }
   Flow& flow = *it->second;
+  stats_.frames_demuxed += framed;
+  if (flow.builder) {
+    for (std::size_t i = 0; i < framed; ++i) {
+      flow.builder->on_channel_frame(channel, true);
+    }
+    for (std::size_t i = 0; i < undecodable; ++i) {
+      flow.builder->on_channel_frame(channel, false);
+    }
+  }
+  flow.receiver.on_frames(run);
+}
+
+void SessionEndpoint::on_delivered(Flow& flow, std::uint64_t id,
+                                   std::vector<std::uint8_t> payload) {
   const auto sent = flow.sent_at_ns.find(id);
   if (sent != flow.sent_at_ns.end()) {
     const double delay_s = net::to_seconds(now_ns() - sent->second);
@@ -608,9 +627,9 @@ void SessionEndpoint::on_delivered(std::uint32_t cid, std::uint64_t id,
   ++stats_.packets_delivered;
   if (flow.builder) {
     flow.builder->on_delivered(id, now_ns());
-    push_report(flow);
+    report_.push_back(flow);
   }
-  if (deliver_) deliver_(cid, id, std::move(payload));
+  if (deliver_) deliver_(flow.cid, id, std::move(payload));
 }
 
 void SessionEndpoint::emit_reports() {
@@ -619,9 +638,9 @@ void SessionEndpoint::emit_reports() {
   // Only flows with deliveries since the last report are on the list;
   // idle flows cost nothing. Several flows' reports coalesce into each
   // feedback datagram (the report codec's decode_prefix contract).
-  while (report_head_ != nullptr) {
-    Flow& flow = *report_head_;
-    unlink_report(flow);
+  while (report_.head != nullptr) {
+    Flow& flow = *report_.head;
+    report_.unlink(flow);
     feedback::ReceiverReport report = flow.builder->build(now);
     report.connection_id = flow.cid;
     const auto bytes = feedback::encode_report(
@@ -674,13 +693,10 @@ void SessionEndpoint::on_feedback_datagram(
       return;
     }
     rest = rest.subspan(consumed);
-    if (report->connection_id == 0) {
-      ++stats_.reports_without_connection;
-      continue;
-    }
     const auto it = flows_.find(report->connection_id);
     if (it == flows_.end()) {
-      ++stats_.reports_unknown_connection;
+      ++(report->connection_id == 0 ? stats_.reports_without_connection
+                                    : stats_.reports_unknown_connection);
       continue;
     }
     Flow& flow = *it->second;
@@ -696,20 +712,12 @@ void SessionEndpoint::on_feedback_datagram(
 }
 
 void SessionEndpoint::update_write_interest() {
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const bool want = channels_[i]->wants_write();
+  for (std::size_t i = 0; i < num_lanes(); ++i) {
+    transport::UdpChannel& ch = lane(i);
+    const bool want = ch.wants_write();
     if (want != write_interest_[i]) {
-      poller_.modify(channels_[i]->tx_fd(), /*want_read=*/false,
-                     /*want_write=*/want);
+      poller_.modify(ch.tx_fd(), /*want_read=*/false, /*want_write=*/want);
       write_interest_[i] = want;
-    }
-  }
-  if (feedback_ch_) {
-    const bool want = feedback_ch_->wants_write();
-    if (want != feedback_write_interest_) {
-      poller_.modify(feedback_ch_->tx_fd(), /*want_read=*/false,
-                     /*want_write=*/want);
-      feedback_write_interest_ = want;
     }
   }
 }
@@ -735,8 +743,10 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
     // retransmission driver — no per-flow manager scan anywhere.
     wheel_.advance(now);
     pump(now);
-    for (const auto& ch : channels_) ch->flush(now);
-    if (feedback_ch_) feedback_ch_->flush(now);
+    // One flush per pump iteration: everything the wheel advance just
+    // released (plus anything the transparent fast path handed over
+    // during pump) leaves in a single sendmmsg per lane.
+    for (std::size_t i = 0; i < num_lanes(); ++i) lane(i).flush(now);
     update_write_interest();
     if (telemetry_) {
       telemetry_->poll(now_ns());
@@ -759,10 +769,10 @@ void SessionEndpoint::run_for(std::int64_t wall_ns) {
         }
         continue;
       }
-      transport::UdpChannel& ch = it->second < channels_.size()
-                                      ? *channels_[it->second]
-                                      : *feedback_ch_;
+      transport::UdpChannel& ch = lane(it->second);
       if (ev.fd == ch.rx_fd() && (ev.readable || ev.error)) {
+        // POLLERR on the RX fd means a pending ICMP error; recv() drains
+        // and counts it alongside any queued datagrams.
         ch.on_readable();
       }
       if (ev.fd == ch.tx_fd() && (ev.writable || ev.error)) {
@@ -860,49 +870,34 @@ void SessionEndpoint::publish_runtime_metrics(obs::Registry& registry) const {
 }
 
 void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
-  // Delta-tracked adds: when the periodic sampler already published
-  // these series mid-run, only the remainder lands here and the
-  // registry converges to the exact totals.
+  // The sampler's series, then the rest. Adds are delta-tracked: when the
+  // periodic sampler already published a series mid-run, only the
+  // remainder lands here and the registry converges to the exact totals.
+  publish_runtime_metrics(registry);
   const auto add = [&](std::string_view name, std::uint64_t value) {
     counter_deltas_.add_total(registry, name, value);
   };
-  add("mcss_session_flows_opened", stats_.flows_opened);
-  add("mcss_session_flows_closed", stats_.flows_closed);
   add("mcss_session_flows_rejected_rate", stats_.flows_rejected_rate);
   add("mcss_session_flows_rejected_capacity", stats_.flows_rejected_capacity);
-  add("mcss_session_packets_sent", stats_.packets_sent);
-  add("mcss_session_packets_delivered", stats_.packets_delivered);
-  add("mcss_session_queue_rejects", stats_.queue_rejects);
   add("mcss_session_frames_demuxed", stats_.frames_demuxed);
   add("mcss_session_frames_undecodable", stats_.frames_undecodable);
   add("mcss_session_frames_without_connection",
       stats_.frames_without_connection);
   add("mcss_session_frames_unknown_connection",
       stats_.frames_unknown_connection);
-  add("mcss_session_reports_sent", stats_.reports_sent);
   add("mcss_session_report_datagrams_sent", stats_.report_datagrams_sent);
   add("mcss_session_reports_dropped_at_channel",
       stats_.reports_dropped_at_channel);
-  add("mcss_session_reports_demuxed", stats_.reports_demuxed);
   add("mcss_session_reports_malformed", stats_.reports_malformed);
   add("mcss_session_reports_auth_failed", stats_.reports_auth_failed);
   add("mcss_session_reports_without_connection",
       stats_.reports_without_connection);
   add("mcss_session_reports_unknown_connection",
       stats_.reports_unknown_connection);
-  add("mcss_session_pool_defers", stats_.pool_defers);
-  add("mcss_session_schedule_defers", stats_.schedule_defers);
   add("mcss_session_pool_oversize_drops", stats_.pool_oversize_drops);
-  registry.set(registry.gauge("mcss_session_flows_open"),
-               static_cast<double>(flows_.size()));
-  registry.set(registry.gauge("mcss_session_admitted_bytes_per_s"),
-               admitted_bytes_per_s_);
-  registry.set(registry.gauge("mcss_session_budget_bytes_per_s"),
-               budget_bytes_per_s_);
 
   // Aggregate the per-flow protocol counters (flows are too many to
-  // publish individually) plus the shared substrate, mirroring
-  // LiveEndpoint::publish_metrics.
+  // publish individually) plus the shared substrate.
   proto::SenderStats sender_total;
   proto::ReceiverStats receiver_total;
   for (const auto& [cid, flow] : flows_) {
@@ -937,14 +932,16 @@ void SessionEndpoint::publish_metrics(obs::Registry& registry) const {
   proto::publish(registry, sender_total);
   proto::publish(registry, receiver_total);
 
-  std::vector<const transport::UdpChannel*> all_channels;
-  all_channels.reserve(channels_.size() + 1);
-  for (const auto& ch : channels_) all_channels.push_back(ch.get());
-  if (feedback_ch_) all_channels.push_back(feedback_ch_.get());
-  for (const transport::UdpChannel* ch : all_channels) {
-    net::publish(registry, ch->impair_stats());
-    transport::publish(registry, ch->stats());
+  // Every kernel crossing the transport makes: send/sendmmsg,
+  // recv/recvmmsg, and poller waits.
+  std::uint64_t syscalls = poller_.wait_calls();
+  for (std::size_t i = 0; i < num_lanes(); ++i) {
+    const transport::UdpChannel& ch = lane(i);
+    net::publish(registry, ch.impair_stats());
+    transport::publish(registry, ch.stats());
+    syscalls += ch.syscalls_send() + ch.syscalls_recv();
   }
+  add("mcss_transport_syscalls_total", syscalls);
 
   const transport::FramePool::Stats& ps = pool_->stats();
   add("mcss_session_pool_acquired", ps.acquired);

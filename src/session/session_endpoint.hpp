@@ -1,13 +1,13 @@
 // SessionEndpoint: multiplex many independent ReMICSS flows over one
 // shared channel set.
 //
-// The ROADMAP north-star host terminates a large churning population of
-// secret-sharing sessions — the multicast / many-receiver shape of
-// "Two-Multicast Channel with Confidential Messages" — on ONE endpoint.
-// LiveEndpoint's machinery (UdpChannels behind a Poller, a TimerWheel
-// for impairment and pacing, a FramePool arena) is exactly the right
-// substrate, but all of its protocol state is singular. This layer keeps
-// the substrate singular and makes the protocol state per-flow:
+// One endpoint terminates a large churning population of secret-sharing
+// sessions — the multicast / many-receiver shape of "Two-Multicast
+// Channel with Confidential Messages". This is the one live event loop:
+// transport::LiveEndpoint is a facade over it with a single flow. The
+// substrate (UdpChannels behind a Poller, a TimerWheel for impairment
+// and pacing, a FramePool arena) is singular; the protocol state is
+// per-flow:
 //
 //   shared, one per endpoint            per-flow, in the flow table
 //   ---------------------------         --------------------------------
@@ -23,7 +23,20 @@
 // generations / acks are scoped within a connection. One flow's report
 // can therefore never ack or supersede another flow's packets — two
 // flows both using packet id 1 never meet in one reassembly buffer or
-// one SACK window.
+// one SACK window. Connection id 0 (omitted on the wire: the single-flow
+// encoding) is an ordinary key once open_flow_as(0) opens it; that flow
+// also owns the frames no connection can be read from (undecodable
+// heads), whose malformation its receiver counts. Receive is batched:
+// each run of consecutive frames with one owner reaches that flow's
+// Receiver::on_frames in one call, which verifies the run's tags in
+// multi-lane SipHash passes.
+//
+// Reusing the simulator's Receiver verbatim is deliberate — its
+// reassembly timeouts, memory cap, and duplicate suppression are the
+// logic under test. The trick is a private net::Simulator driven in
+// lockstep with the wall clock: every pump iteration calls
+// run_until(now - epoch), so "sim time" IS wall time and the receivers'
+// schedule_in()-based eviction timers fire at the right real moments.
 //
 // Scale discipline (the 100k-flow requirements):
 //   - O(1) ready-flow scheduling: flows with queued packets sit on an
@@ -71,7 +84,7 @@
 #include "protocol/receiver.hpp"
 #include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
-#include "transport/live_endpoint.hpp"
+#include "transport/live_config.hpp"
 #include "transport/poller.hpp"
 #include "transport/timer_wheel.hpp"
 #include "transport/udp_channel.hpp"
@@ -118,7 +131,7 @@ struct SessionConfig {
   double kappa = 2.0;
   double mu = 3.0;
   /// First RX port; channel i binds port_base + i (+ feedback lane), 0 =
-  /// ephemeral. Validated against uint16 wraparound like LiveConfig.
+  /// ephemeral. A range past port 65535 is refused at construction.
   std::uint16_t port_base = 0;
   /// When set, frames carry SipHash tags and per-flow receivers are keyed.
   std::optional<crypto::SipHashKey> auth_key;
@@ -135,7 +148,8 @@ struct SessionConfig {
   SessionLimits limits;
   std::size_t send_batch = transport::batch_from_env(32);
   std::size_t recv_batch = transport::batch_from_env(32);
-  /// FramePool sizing, 0 = auto (as LiveConfig, plus slack for partials).
+  /// FramePool sizing, 0 = auto: transmit in flight (4 send batches per
+  /// lane) plus slack for partials. Slot bytes from max_datagram_bytes.
   std::size_t pool_slots = 0;
   std::size_t pool_slot_bytes = 0;
   /// Runtime telemetry plane (scrape server + sampler + privacy
@@ -154,11 +168,11 @@ struct SessionStats {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_delivered = 0;
   std::uint64_t queue_rejects = 0;  ///< send() on a full per-flow queue
-  /// RX demux outcomes. Frames whose head fails share framing cannot be
-  /// attributed to any flow and are counted here only; frames without a
-  /// connection id (the single-flow encoding) and frames for ids not in
-  /// the table (late shares of a closed flow, or forgeries) are dropped
-  /// before any receiver sees them.
+  /// RX demux outcomes. Frames whose head fails share framing are counted
+  /// here (and handed to flow 0's receiver when it is open); frames
+  /// without a connection id while flow 0 is closed and frames for ids
+  /// not in the table (late shares of a closed flow, or forgeries) are
+  /// dropped before any receiver sees them.
   std::uint64_t frames_demuxed = 0;
   std::uint64_t frames_undecodable = 0;
   std::uint64_t frames_without_connection = 0;
@@ -172,7 +186,7 @@ struct SessionStats {
   std::uint64_t reports_auth_failed = 0;
   std::uint64_t reports_without_connection = 0;
   std::uint64_t reports_unknown_connection = 0;
-  /// Dispatch backpressure (mirrors LiveEndpoint's counters).
+  /// Dispatch backpressure.
   std::uint64_t pool_defers = 0;
   std::uint64_t schedule_defers = 0;
   std::uint64_t pool_oversize_drops = 0;
@@ -193,9 +207,15 @@ class SessionEndpoint {
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// Admit a flow and install its state; nullopt when admission refuses
-  /// (rate budget or max_flows — see stats()). O(1) amortized.
+  /// (rate budget or max_flows — see stats()). O(1) amortized. Ids start
+  /// at 1; 0 is opened only by name.
   [[nodiscard]] std::optional<std::uint32_t> open_flow(
       const FlowParams& params = {});
+
+  /// open_flow() under a caller-chosen connection id, e.g. 0 for a peer
+  /// speaking the single-flow encoding. `cid` must not be open.
+  [[nodiscard]] std::optional<std::uint32_t> open_flow_as(
+      std::uint32_t cid, const FlowParams& params = {});
 
   /// Tear a flow down: cancel its wheel timers, unlink it from the
   /// ready/report lists, release its admission reservation, destroy its
@@ -224,6 +244,13 @@ class SessionEndpoint {
   }
   [[nodiscard]] std::size_t num_channels() const noexcept {
     return channels_.size();
+  }
+  [[nodiscard]] transport::UdpChannel& channel(std::size_t i) {
+    return *channels_.at(i);
+  }
+  /// The report lane; null unless reliability.enabled.
+  [[nodiscard]] transport::UdpChannel* feedback_channel() noexcept {
+    return feedback_ch_.get();
   }
   [[nodiscard]] const SessionStats& stats() const noexcept { return stats_; }
   /// Aggregate admitted byte rate and the admission budget it is held
@@ -267,6 +294,23 @@ class SessionEndpoint {
   }
 
  private:
+  struct Flow;
+  /// A flow's links in one intrusive FIFO of flows.
+  struct Hook {
+    Flow* prev = nullptr;
+    Flow* next = nullptr;
+    bool linked = false;
+  };
+  /// Intrusive FIFO threaded through each flow's `hook`: O(1) push and
+  /// unlink, no allocation, no scan of flows that are not on it.
+  struct FlowList {
+    Hook Flow::*hook;
+    Flow* head = nullptr;
+    Flow* tail = nullptr;
+    void push_back(Flow& flow);  ///< no-op when already linked
+    void unlink(Flow& flow);     ///< no-op when not linked
+  };
+
   struct Flow {
     Flow(std::uint32_t id, const FlowParams& p, double bytes_per_s,
          net::Simulator& timeline, proto::ReceiverConfig rc, double kappa,
@@ -293,14 +337,10 @@ class SessionEndpoint {
     std::unordered_map<std::uint64_t, std::int64_t> sent_at_ns;
     std::deque<std::pair<std::uint64_t, std::int64_t>> sent_order;
 
-    /// Intrusive ready list (flows with queued packets), round-robin.
-    Flow* ready_prev = nullptr;
-    Flow* ready_next = nullptr;
-    bool in_ready = false;
-    /// Intrusive report list (flows with deliveries since last report).
-    Flow* report_prev = nullptr;
-    Flow* report_next = nullptr;
-    bool in_report = false;
+    /// Links in ready_ (queued packets, served round-robin) and report_
+    /// (deliveries since the last report).
+    Hook ready_hook;
+    Hook report_hook;
 
     /// This flow's RTO timer on the shared wheel; kNoTimer when unarmed.
     transport::TimerWheel::TimerId rto_timer = transport::TimerWheel::kNoTimer;
@@ -309,13 +349,26 @@ class SessionEndpoint {
     std::int64_t opened_ns = 0;
   };
 
+  using Frames = std::span<const std::span<const std::uint8_t>>;
+
   void pump(std::int64_t now);
   void dispatch(Flow& flow, std::vector<std::uint8_t> payload,
                 const proto::ShareDecision& decision, std::int64_t now);
   void resend(std::uint32_t cid, std::uint64_t id, std::uint8_t generation,
               const std::vector<std::uint8_t>& payload, int k);
-  void on_share_frame(std::size_t channel, std::span<const std::uint8_t> frame);
-  void on_delivered(std::uint32_t cid, std::uint64_t id,
+  /// Split `payload` afresh into one share per entry of `channels` and
+  /// send each as its own encoded frame: retransmissions (generation >
+  /// 0) and the dispatch path when the arena cannot take the fan-out.
+  void send_shares(Flow& flow, std::uint64_t id, std::uint8_t generation,
+                   int k, std::span<const std::uint8_t> payload,
+                   std::span<const int> channels, std::int64_t now);
+  /// Demux one channel receive batch into per-flow runs.
+  void on_share_batch(std::size_t channel, Frames frames);
+  /// Hand `run` (consecutive frames of connection `cid`, `undecodable`
+  /// of them with unreadable heads) to the owning flow's receiver.
+  void deliver_run(std::size_t channel, std::uint32_t cid, Frames run,
+                   std::size_t undecodable);
+  void on_delivered(Flow& flow, std::uint64_t id,
                     std::vector<std::uint8_t> payload);
   /// (Re)arm the flow's wheel timer at its manager's next deadline;
   /// cancels a stale handle first. Call after any event that can move
@@ -323,15 +376,21 @@ class SessionEndpoint {
   void arm_rto(Flow& flow, std::int64_t now);
   void emit_reports();
   void sync_timeline(std::int64_t now);
+  /// The share channels, then the feedback lane when reliability is on.
+  [[nodiscard]] std::size_t num_lanes() const noexcept {
+    return channels_.size() + (feedback_ch_ ? 1 : 0);
+  }
+  [[nodiscard]] transport::UdpChannel& lane(std::size_t i) {
+    return i < channels_.size() ? *channels_[i] : *feedback_ch_;
+  }
+  [[nodiscard]] const transport::UdpChannel& lane(std::size_t i) const {
+    return i < channels_.size() ? *channels_[i] : *feedback_ch_;
+  }
   void update_write_interest();
   [[nodiscard]] int poll_timeout_ms(std::int64_t now,
                                     std::int64_t deadline) const;
   [[nodiscard]] double price_flow(const FlowParams& params) const noexcept;
 
-  void push_ready(Flow& flow);
-  void unlink_ready(Flow& flow);
-  void push_report(Flow& flow);
-  void unlink_report(Flow& flow);
 
   void init_telemetry();
   /// Wake-up timer so an idle poller still advances the sampler; 1 ms
@@ -357,10 +416,9 @@ class SessionEndpoint {
   transport::TimerWheel wheel_;
   Rng rng_;
   std::vector<std::unique_ptr<transport::UdpChannel>> channels_;
-  std::vector<bool> write_interest_;
+  std::vector<bool> write_interest_;  ///< current EPOLLOUT state per lane
   std::unordered_map<int, std::size_t> fd_to_channel_;
   std::unique_ptr<transport::UdpChannel> feedback_ch_;
-  bool feedback_write_interest_ = false;
 
   /// Wall-driven timeline shared by every flow's Receiver (reassembly
   /// eviction timers), run_until(now - epoch) each pump iteration.
@@ -374,10 +432,8 @@ class SessionEndpoint {
   PercentileTracker setup_latency_;
   PercentileTracker delay_;
 
-  Flow* ready_head_ = nullptr;
-  Flow* ready_tail_ = nullptr;
-  Flow* report_head_ = nullptr;
-  Flow* report_tail_ = nullptr;
+  FlowList ready_{&Flow::ready_hook};
+  FlowList report_{&Flow::report_hook};
 
   std::unique_ptr<obs::runtime::RuntimeTelemetry> telemetry_;
   /// Last totals published per counter series (publish_metrics is

@@ -1,20 +1,20 @@
-// LiveEndpoint: the ReMICSS protocol over real loopback UDP sockets.
+// LiveEndpoint: the ReMICSS protocol over real loopback UDP sockets, one
+// flow.
 //
-// The glue the tentpole is named for. One LiveEndpoint owns both ends of
-// a Section VI-style testbed run inside one process: n impaired
-// UdpChannels, a ShareScheduler (ReMICSS dynamic by default), and a
-// proto::Receiver. Source packets go scheduler -> sss::split ->
-// wire::encode -> UdpChannel::try_send; the pump loop parks in
-// Poller::wait until a socket turns readable/writable or the impairment
-// TimerWheel needs service; received datagrams come back through
-// wire::decode_prefix and into the unmodified Receiver.
+// One LiveEndpoint owns both ends of a Section VI-style testbed run
+// inside one process: n impaired UdpChannels, the ReMICSS dynamic
+// scheduler, and a proto::Receiver. Source packets go scheduler ->
+// sss::split -> wire::encode -> UdpChannel::try_send; the event loop
+// parks in Poller::wait until a socket turns readable/writable or the
+// impairment TimerWheel needs service; received datagrams come back
+// through the receiver's batched decode.
 //
-// Reusing the simulator's Receiver verbatim is deliberate — its
-// reassembly timeouts, memory cap, and duplicate suppression are the
-// logic under test. The trick is a private net::Simulator driven in
-// lockstep with the wall clock: every pump iteration calls
-// run_until(now - epoch), so "sim time" IS wall time and the Receiver's
-// schedule_in()-based eviction timers fire at the right real moments.
+// A single flow is the n = 1 case of the session layer's many-receiver
+// shape, so this class is a facade: it owns one session::SessionEndpoint
+// with one flow, opened under connection id 0. Connection 0 frames and
+// reports omit the id on the wire, so the bytes are those of the
+// pre-session single-flow encoding. The event loop, dispatch,
+// retransmission, reports and telemetry are the session's.
 //
 // Determinism note: protocol decisions (dither sequence, share
 // coefficients, impairment draws) are all seeded, but *scheduling* is
@@ -24,28 +24,18 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <span>
-#include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "crypto/siphash.hpp"
-#include "feedback/report_builder.hpp"
-#include "feedback/retransmit.hpp"
-#include "net/simulator.hpp"
 #include "obs/runtime/telemetry.hpp"
 #include "protocol/receiver.hpp"
-#include "protocol/scheduler.hpp"
 #include "protocol/sender.hpp"
+#include "session/session_endpoint.hpp"
+#include "transport/live_config.hpp"
 #include "transport/poller.hpp"
-#include "transport/timer_wheel.hpp"
 #include "transport/udp_channel.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace mcss::obs {
@@ -54,56 +44,11 @@ class Registry;
 
 namespace mcss::transport {
 
-struct LiveChannelSpec {
-  net::ChannelConfig config;
-  std::string name;
-};
-
-/// Reliability add-on for a live endpoint: a feedback UdpChannel carries
-/// periodic receiver reports back to the sender side, which acks, learns
-/// RTT, and retransmits over the RetransmitManager's RTO timers.
-struct LiveReliabilityConfig {
-  bool enabled = false;
-  feedback::RetransmitConfig retransmit;
-  /// ReportBuilder sizing (num_channels is filled in by the endpoint).
-  std::size_t sack_window_words = 16;
-  std::size_t max_delay_samples = 64;
-  std::int64_t report_interval_ns = 20'000'000;
-  /// Shares beyond k on each retransmission.
-  int retransmit_extra = 1;
-  /// Impairment of the report path (feedback can be lossy too). The
-  /// default ChannelConfig is a clean fast channel.
-  net::ChannelConfig feedback_channel;
-  /// Tag reports with SipHash; unauthenticated/tampered ones are
-  /// rejected and counted.
-  std::optional<crypto::SipHashKey> report_auth_key;
-};
-
-/// MCSS_LIVE_BATCH as a positive size (it seeds both send_batch and
-/// recv_batch defaults below), or `fallback` when unset/unparsable.
-[[nodiscard]] std::size_t batch_from_env(std::size_t fallback = 32);
-
-/// Send-to-deliver delays an endpoint keeps for delay_seconds(): a
-/// uniform reservoir of this many (64 KiB), so a long-running endpoint
-/// reports percentiles from fixed memory instead of 8 B per delivered
-/// packet. At this size p50/p99 sit within ~0.6 / ~0.1 percentile
-/// points (one standard error) of the exact values.
-inline constexpr std::size_t kDelaySamples = 8192;
-
-/// The endpoints' delay tracker: a kDelaySamples reservoir drawing from
-/// its own stream, seeded from the endpoint's seed.
-[[nodiscard]] inline PercentileTracker delay_tracker(std::uint64_t seed) {
-  return PercentileTracker::reservoir(kDelaySamples, seed ^ 0xDE1A7ull);
-}
-
 struct LiveConfig {
   std::vector<LiveChannelSpec> channels;
-  /// DynamicScheduler targets; ignored when `scheduler` is set.
+  /// DynamicScheduler targets.
   double kappa = 2.0;
   double mu = 3.0;
-  /// Optional explicit scheduler (e.g. a StaticScheduler sampling an LP
-  /// solution). Null = DynamicScheduler(kappa, mu, n).
-  std::unique_ptr<proto::ShareScheduler> scheduler;
   /// First RX port; channel i binds port_base + i. 0 = kernel-assigned
   /// ephemeral ports (the default; use port_base_from_env() to honor
   /// MCSS_LIVE_PORT_BASE).
@@ -111,6 +56,7 @@ struct LiveConfig {
   /// When set, frames carry SipHash-2-4 tags and the receiver is keyed.
   std::optional<crypto::SipHashKey> auth_key;
   std::size_t max_queue_packets = 256;
+  /// The flow's receiver; memory_limit_bytes is its reassembly cap.
   proto::ReceiverConfig receiver;
   std::uint64_t seed = 1;
   std::size_t max_datagram_bytes = 1400;
@@ -131,13 +77,10 @@ struct LiveConfig {
   std::size_t pool_slots = 0;
   std::size_t pool_slot_bytes = 0;
   /// Runtime telemetry plane (scrape server + sampler + privacy
-  /// accounting + loop health); off by default. The single protocol
-  /// pipeline appears in /flows as pseudo-flow cid 0.
+  /// accounting + loop health); off by default. The flow appears in
+  /// /flows as cid 0.
   obs::runtime::RuntimeTelemetryConfig telemetry;
 };
-
-/// MCSS_LIVE_PORT_BASE as uint16, or `fallback` when unset/unparsable.
-[[nodiscard]] std::uint16_t port_base_from_env(std::uint16_t fallback = 0);
 
 class LiveEndpoint {
  public:
@@ -157,132 +100,67 @@ class LiveEndpoint {
   /// service impairment timers, move datagrams, feed the receiver. Call
   /// repeatedly; an extra call with the queue empty drains in-flight
   /// shares and lets reassembly timeouts fire.
-  void run_for(std::int64_t wall_ns);
+  void run_for(std::int64_t wall_ns) { session_.run_for(wall_ns); }
 
   /// Monotonic nanoseconds since construction (the endpoint's timeline).
-  [[nodiscard]] std::int64_t now_ns() const;
+  [[nodiscard]] std::int64_t now_ns() const { return session_.now_ns(); }
 
-  [[nodiscard]] const proto::SenderStats& sender_stats() const noexcept {
-    return sender_stats_;
+  [[nodiscard]] const proto::SenderStats& sender_stats() const {
+    return *session_.flow_sender_stats(kFlow);
   }
-  [[nodiscard]] const proto::Receiver& receiver() const noexcept {
-    return receiver_;
+  [[nodiscard]] const proto::Receiver& receiver() const {
+    return *session_.flow_receiver(kFlow);
   }
-  [[nodiscard]] proto::Receiver& receiver() noexcept { return receiver_; }
-  [[nodiscard]] std::size_t queued_packets() const noexcept {
-    return queue_.size();
+  [[nodiscard]] std::size_t queued_packets() const {
+    return session_.flow_queued_packets(kFlow);
   }
   [[nodiscard]] std::size_t num_channels() const noexcept {
-    return channels_.size();
+    return session_.num_channels();
   }
-  [[nodiscard]] UdpChannel& channel(std::size_t i) { return *channels_.at(i); }
+  [[nodiscard]] UdpChannel& channel(std::size_t i) {
+    return session_.channel(i);
+  }
   /// End-to-end packet delay samples (seconds), send() time to delivery.
-  [[nodiscard]] PercentileTracker& delay_seconds() noexcept { return delay_; }
+  [[nodiscard]] PercentileTracker& delay_seconds() noexcept {
+    return session_.delay_seconds();
+  }
   [[nodiscard]] Poller::Backend poller_backend() const noexcept {
-    return poller_.backend();
+    return session_.poller().backend();
   }
   /// The readiness source (e.g. wait_calls() for syscall accounting).
-  [[nodiscard]] const Poller& poller() const noexcept { return poller_; }
+  [[nodiscard]] const Poller& poller() const noexcept {
+    return session_.poller();
+  }
   /// The shared frame arena all channels draw from.
-  [[nodiscard]] const FramePool& pool() const noexcept { return *pool_; }
+  [[nodiscard]] const FramePool& pool() const noexcept {
+    return session_.pool();
+  }
   /// Reliability internals (null/absent unless reliability.enabled).
-  [[nodiscard]] feedback::RetransmitManager* retransmit_manager() noexcept {
-    return manager_.get();
+  [[nodiscard]] feedback::RetransmitManager* retransmit_manager() {
+    return session_.flow_manager(kFlow);
   }
   [[nodiscard]] UdpChannel* feedback_channel() noexcept {
-    return feedback_ch_.get();
+    return session_.feedback_channel();
   }
   [[nodiscard]] std::uint64_t reports_sent() const noexcept {
-    return reports_sent_;
+    return session_.stats().reports_sent;
   }
 
-  /// Publish sender, receiver, per-channel impairment, and socket-layer
-  /// counters into the registry (end-of-run hook).
+  /// Publish the session's sender, receiver, channel, socket and pool
+  /// counters, plus mcss_live_pool_defers (end-of-run hook).
   void publish_metrics(obs::Registry& registry) const;
 
   /// The runtime telemetry plane; null unless config.telemetry.enabled.
   [[nodiscard]] obs::runtime::RuntimeTelemetry* telemetry() noexcept {
-    return telemetry_.get();
+    return session_.telemetry();
   }
 
  private:
-  void init_telemetry();
-  void arm_sampler_timer();
-  /// Drain closed-packet exposure records into the privacy accountant.
-  void fold_closed();
-  void pump(std::int64_t now);
-  void dispatch(std::vector<std::uint8_t> payload,
-                const proto::ShareDecision& decision, std::int64_t now);
-  void sync_timeline(std::int64_t now);
-  void update_write_interest();
-  [[nodiscard]] int poll_timeout_ms(std::int64_t now,
-                                    std::int64_t deadline) const;
-  void emit_report();
-  void resend(std::uint64_t id, std::uint8_t generation,
-              const std::vector<std::uint8_t>& payload, int k);
-  /// Serialize `frame` straight into a pool slot and hand it to
-  /// `channel`. False = dropped (pool exhausted, frame larger than a
-  /// slot, or impairment-queue tail drop) — callers count the share.
-  bool encode_and_send(const proto::ShareFrame& frame, UdpChannel& channel,
-                       std::int64_t now);
+  /// The one flow's connection id: 0, the id the wire header omits.
+  static constexpr std::uint32_t kFlow = 0;
 
-  LiveConfig config_;
-  std::int64_t epoch_ns_;
-  Poller poller_;
-  /// Declared before wheel_ and channels_: every FrameRef still alive at
-  /// destruction — receive pins, parked frames, and impairment timer
-  /// callbacks pending in the wheel — must release into a live pool.
-  std::unique_ptr<FramePool> pool_;
-  TimerWheel wheel_;
-  Rng rng_;
-  std::unique_ptr<proto::ShareScheduler> scheduler_;
-  std::vector<std::unique_ptr<UdpChannel>> channels_;
-  std::vector<bool> write_interest_;  ///< current EPOLLOUT state per channel
-  std::unordered_map<int, std::size_t> fd_to_channel_;
-
-  /// Wall-driven timeline: run_until(now - epoch) each iteration, so the
-  /// Receiver's reassembly timers see real time.
-  net::Simulator timeline_;
-  proto::Receiver receiver_;
+  session::SessionEndpoint session_;
   DeliverFn deliver_;
-
-  std::deque<std::vector<std::uint8_t>> queue_;
-  std::uint64_t next_packet_id_ = 1;
-  proto::SenderStats sender_stats_;
-  std::unordered_map<std::uint64_t, std::int64_t> sent_at_ns_;
-  /// (id, sent-at) in send order, for pruning timestamps of packets the
-  /// receiver can no longer deliver.
-  std::deque<std::pair<std::uint64_t, std::int64_t>> sent_order_;
-  PercentileTracker delay_;
-  std::vector<Poller::Event> events_;  ///< reused across wait() calls
-
-  /// Reliability plumbing (engaged only when reliability.enabled).
-  std::unique_ptr<UdpChannel> feedback_ch_;
-  bool feedback_write_interest_ = false;
-  std::optional<feedback::ReportBuilder> builder_;
-  std::unique_ptr<feedback::RetransmitManager> manager_;
-  std::uint64_t reports_sent_ = 0;
-  std::uint64_t reports_dropped_at_channel_ = 0;
-  /// Frames whose encoding exceeds the pool's slot size (see
-  /// LiveConfig::pool_slot_bytes).
-  std::uint64_t pool_oversize_drops_ = 0;
-  /// Pump iterations that parked instead of dispatching because the
-  /// arena lacked headroom for a full share fan-out (backpressure, not
-  /// loss — the packet stays queued).
-  std::uint64_t pool_defers_ = 0;
-
-  std::unique_ptr<obs::runtime::RuntimeTelemetry> telemetry_;
-  std::vector<obs::runtime::ExposureRecord> closed_scratch_;
-
-  /// Steady-state dispatch scratch, sized once: the per-pump scheduler
-  /// view, the per-packet slot handles, payload windows and whole-frame
-  /// views (for seal_frames) of the split-into-slot fast path, and the
-  /// splitter's coefficient slices.
-  std::vector<proto::ChannelView> view_scratch_;
-  std::vector<FrameRef> tx_slots_;
-  std::vector<std::span<std::uint8_t>> tx_spans_;
-  std::vector<std::span<std::uint8_t>> tx_frames_;
-  std::vector<std::uint8_t> split_scratch_;
 };
 
 }  // namespace mcss::transport

@@ -2,7 +2,7 @@
 //
 // The paper's ReMICSS "chooses the first m channels which are ready for
 // writing" straight from epoll (Section V); this is that readiness
-// source. One Poller watches every channel socket of a LiveEndpoint;
+// source. One Poller watches every channel socket of an endpoint;
 // wait() parks the pump loop until a socket turns readable/writable or
 // the impairment timer wheel needs service.
 //

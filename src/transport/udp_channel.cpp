@@ -50,6 +50,22 @@ void publish(obs::Registry& registry, const UdpChannelStats& stats) {
   const auto add = [&](std::string_view name, std::uint64_t value) {
     registry.add(registry.counter(name), value);
   };
+  add("mcss_live_datagrams_sent", stats.datagrams_sent);
+  add("mcss_live_datagrams_received", stats.datagrams_received);
+  add("mcss_live_bytes_sent", stats.bytes_sent);
+  add("mcss_live_bytes_received", stats.bytes_received);
+  add("mcss_live_frames_coalesced", stats.frames_coalesced);
+  add("mcss_live_send_wouldblock", stats.send_wouldblock);
+  add("mcss_live_send_retries", stats.send_retries);
+  add("mcss_live_send_refused", stats.send_refused);
+  add("mcss_live_send_errors", stats.send_errors);
+  add("mcss_live_sendmmsg_short", stats.sendmmsg_short);
+  add("mcss_live_recv_refused", stats.recv_refused);
+  add("mcss_live_recv_errors", stats.recv_errors);
+  add("mcss_live_recv_truncated", stats.recv_truncated);
+  add("mcss_live_frames_forwarded", stats.frames_forwarded);
+  add("mcss_live_unparsed_forwarded", stats.unparsed_forwarded);
+  add("mcss_live_frames_dropped_pool", stats.frames_dropped_pool);
   add("mcss_channel_gso_messages", stats.gso_messages);
   add("mcss_channel_gso_segments", stats.gso_segments);
   add("mcss_channel_gro_buffers", stats.gro_buffers);

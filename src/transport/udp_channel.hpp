@@ -92,9 +92,11 @@ struct UdpChannelStats {
   std::uint64_t frames_dropped_pool = 0;///< pool/ring exhausted (tail drop)
 };
 
-/// Add the socket layer's segmentation-offload counters into the
-/// registry as mcss_channel_gso_messages, _gso_segments, _gro_buffers
-/// and _offload_refusals. Additive, like net::publish(ChannelStats).
+/// Add the socket layer's counters into the registry: datagram, byte,
+/// error and framing totals as mcss_live_*, and the segmentation-offload
+/// counters as mcss_channel_gso_messages, _gso_segments, _gro_buffers and
+/// _offload_refusals. Additive, like net::publish(ChannelStats), so
+/// publishing every channel sums them.
 void publish(obs::Registry& registry, const UdpChannelStats& stats);
 
 class UdpChannel {

@@ -12,11 +12,16 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "feedback/report.hpp"
 #include "feedback/retransmit.hpp"
 #include "net/sim_time.hpp"
+#include "protocol/wire.hpp"
+#include "sss/shamir.hpp"
+#include "transport/udp_socket.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
 
 namespace mcss {
@@ -191,6 +196,114 @@ TEST(Session, FlowsWithEqualPacketIdsNeverMix) {
     EXPECT_EQ(rx->stats().packets_delivered,
               static_cast<std::uint64_t>(kPackets));
   }
+}
+
+TEST(Session, BatchedDemuxRoutesInterleavedFlowsToTheirOwnReceivers) {
+  // One datagram, hence one receive batch, interleaving two flows'
+  // shares plus a copy of one share with a tampered tag. The demux hands
+  // each run of same-flow frames to that flow's receiver in one batch
+  // verify; both flows must deliver everything, and the one bad tag must
+  // be counted once, by its own flow's receiver.
+  const crypto::SipHashKey key{{4, 3, 2, 1}};
+  SessionConfig config = clean_config();
+  config.auth_key = key;
+  SessionEndpoint ep(std::move(config));
+  std::map<std::uint32_t, std::map<std::uint64_t, std::vector<std::uint8_t>>>
+      delivered;
+  ep.set_deliver([&](std::uint32_t cid, std::uint64_t id,
+                     std::vector<std::uint8_t> payload) {
+    delivered[cid][id] = std::move(payload);
+  });
+  const auto a = ep.open_flow();
+  const auto b = ep.open_flow();
+  ASSERT_TRUE(a && b);
+
+  // shares[flow][packet id - 1]: the two shares of a 2-of-2 split.
+  Rng rng(5);
+  std::map<std::uint32_t, std::vector<std::vector<std::vector<std::uint8_t>>>>
+      shares;
+  for (const std::uint32_t cid : {*a, *b}) {
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+      const auto payload =
+          pattern_payload(48, static_cast<std::uint8_t>(cid * 16 + id));
+      std::vector<std::vector<std::uint8_t>> frames;
+      for (auto& share : sss::split(payload, 2, 2, rng)) {
+        proto::ShareFrame frame;
+        frame.packet_id = id;
+        frame.k = 2;
+        frame.share_index = share.index;
+        frame.connection_id = cid;
+        frame.payload = std::move(share.data);
+        frames.push_back(proto::encode(frame, &key));
+      }
+      shares[cid].push_back(std::move(frames));
+    }
+  }
+  std::vector<std::uint8_t> tampered = shares[*b][1][0];
+  tampered.back() ^= 0x01;  // last tag byte
+  const std::vector<const std::vector<std::uint8_t>*> order{
+      &shares[*a][0][0], &shares[*b][0][0], &shares[*a][0][1],
+      &shares[*b][0][1], &shares[*a][1][0], &tampered,
+      &shares[*b][1][0], &shares[*a][1][1], &shares[*b][1][1]};
+  std::vector<std::uint8_t> datagram;
+  for (const auto* frame : order) {
+    datagram.insert(datagram.end(), frame->begin(), frame->end());
+  }
+  transport::UdpSocket peer = transport::UdpSocket::bound_loopback(0);
+  peer.connect_loopback(ep.channel(0).rx_port());
+  ASSERT_EQ(peer.send(datagram), transport::UdpSocket::IoResult::Ok);
+  ASSERT_TRUE(run_until(ep, [&] {
+    return delivered[*a].size() == 2 && delivered[*b].size() == 2;
+  }));
+
+  for (const std::uint32_t cid : {*a, *b}) {
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+      EXPECT_EQ(delivered[cid][id],
+                pattern_payload(48, static_cast<std::uint8_t>(cid * 16 + id)))
+          << "flow " << cid << " packet " << id;
+    }
+  }
+  const proto::Receiver* ra = ep.flow_receiver(*a);
+  const proto::Receiver* rb = ep.flow_receiver(*b);
+  ASSERT_NE(ra, nullptr);
+  ASSERT_NE(rb, nullptr);
+  EXPECT_EQ(ra->stats().auth_failures, 0u);
+  EXPECT_EQ(rb->stats().auth_failures, 1u);
+  EXPECT_EQ(ra->stats().frames_received, 4u);
+  EXPECT_EQ(rb->stats().frames_received, 5u);
+  EXPECT_EQ(ep.stats().frames_demuxed, order.size());
+  EXPECT_EQ(ep.stats().frames_undecodable, 0u);
+}
+
+TEST(Session, FlowZeroOwnsTheSingleFlowEncoding) {
+  // Connection id 0 is an ordinary flow key once opened by name: its
+  // reports (which omit the id on the wire) reach its manager, and
+  // open_flow() never hands the id out.
+  SessionConfig config = clean_config();
+  config.reliability.enabled = true;
+  SessionEndpoint ep(std::move(config));
+  ASSERT_EQ(ep.open_flow_as(0), std::optional<std::uint32_t>(0));
+  EXPECT_THROW((void)ep.open_flow_as(0), PreconditionError);
+  const auto other = ep.open_flow();
+  ASSERT_TRUE(other.has_value());
+  EXPECT_NE(*other, 0u);
+
+  ASSERT_TRUE(ep.send(0, pattern_payload(64, 0x0C)));
+  ep.run_for(0);
+  feedback::RetransmitManager* manager = ep.flow_manager(0);
+  ASSERT_NE(manager, nullptr);
+  ASSERT_EQ(manager->outstanding(), 1u);
+  feedback::ReceiverReport report;
+  report.seq = 1;
+  report.receiver_time_ns = ep.now_ns();
+  report.packets_delivered = 1;
+  report.sack_base = 1;
+  report.sack = {1};
+  report.channels.resize(ep.num_channels());
+  ep.on_feedback_datagram(feedback::encode_report(report), ep.now_ns());
+  EXPECT_EQ(manager->stats().packets_acked, 1u);
+  EXPECT_EQ(ep.stats().reports_demuxed, 1u);
+  EXPECT_EQ(ep.stats().reports_without_connection, 0u);
 }
 
 TEST(Session, ReportDemuxNeverAcksAnotherFlowsPackets) {
